@@ -8,26 +8,19 @@ reproducible: the same config and seeds give byte-identical CSVs.
 """
 
 import argparse
-import csv
 import json
-import math
 import sys
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import data as data_mod
 from . import evaluation as eval_mod
 from . import model_io
-from .data import SensorReading
 from .errors import ConfigError, InputError, SensorGPError
-from .exact_gp import GPModel, subsample
-from .kernels import SquaredExponential, rescale_periods
-from .statespace import StateSpaceGP
-from .svgp import SVGPModel
 
 ROW_KEYS = (
     "backend", "name", "periodic", "clean_outliers", "additional_inputs",
@@ -88,22 +81,24 @@ def _row_config(entries, cleaning):
         merged["clean_outliers"] = True
     if "seeds" in merged and merged["seeds"] is not None:
         merged["seeds"] = tuple(merged["seeds"])
-    config = eval_mod.ExperimentConfig(**merged)
-    config.outlier_factor = float(cleaning.get("factor", 1.5))
-    config.outlier_scope = cleaning.get("scope", "per-site")
-    config.outlier_mode = cleaning.get("mode", "tukey")
-    return config
+    return _with_fences(eval_mod.ExperimentConfig(**merged), cleaning)
+
+
+def _with_fences(config, cleaning):
+    """The config with the outlier-fence settings of the `cleaning` section."""
+    return replace(
+        config,
+        outlier_factor=float(cleaning.get("factor", 1.5)),
+        outlier_scope=cleaning.get("scope", "per-site"),
+        outlier_mode=cleaning.get("mode", "tukey"),
+    )
 
 
 def _build_matrix(raw, overrides):
     cleaning = raw.get("cleaning", {})
     matrix = raw.get("benchmark", {}).get("matrix", "default")
     if matrix in (None, "default"):
-        configs = eval_mod.default_matrix()
-        for config in configs:
-            config.outlier_factor = float(cleaning.get("factor", 1.5))
-            config.outlier_scope = cleaning.get("scope", "per-site")
-            config.outlier_mode = cleaning.get("mode", "tukey")
+        configs = [_with_fences(c, cleaning) for c in eval_mod.default_matrix()]
     elif isinstance(matrix, list):
         configs = [_row_config(row, cleaning) for row in matrix]
     else:
@@ -201,42 +196,11 @@ def cmd_fit(args):
     config = _single_config(raw, args)
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     readings, _ = _load_readings(raw, config.additional_inputs)
-    if config.clean_outliers:
-        readings, _ = data_mod.remove_outliers(
-            readings, config.outlier_factor, config.outlier_scope, config.outlier_mode
-        )
+    readings = eval_mod._clean_training(readings, config)
     dataset = data_mod.build_dataset(
         readings, include_covariates=config.additional_inputs
     )
-    opts = config.optimizer_options(seed)
-
-    if config.backend == "statespace":
-        spatial = SquaredExponential(config.kernel_variance, config.kernel_lengthscale)
-        model = StateSpaceGP.from_dataset(
-            spatial, config.temporal, dataset, noise_variance=config.noise_variance
-        )
-        result = model.fit(opts)
-    elif config.backend == "svgp":
-        kernel = rescale_periods(
-            eval_mod._build_kernel(dataset.columns, config), dataset.col_scale
-        )
-        model = SVGPModel.from_dataset(
-            kernel, dataset, min(config.n_inducing, dataset.n),
-            noise_variance=config.noise_variance, seed=seed,
-        )
-        result = model.fit(opts, optimize_inducing=config.optimize_inducing)
-    else:
-        kernel = rescale_periods(
-            eval_mod._build_kernel(dataset.columns, config), dataset.col_scale
-        )
-        fit_data = (
-            subsample(dataset, config.subsample, seed)
-            if config.subsample < dataset.n else dataset
-        )
-        model = GPModel.from_dataset(
-            kernel, fit_data, noise_variance=config.noise_variance
-        )
-        result = model.fit(opts)
+    model, result = eval_mod.fit_model(dataset, config, seed)
 
     out = _out_dir(raw, args)
     model_path = out / "model.json"
@@ -246,70 +210,12 @@ def cmd_fit(args):
     return 0
 
 
-def _read_query_csv(path, needed_columns):
-    """Query rows as SensorReading shells; extra columns are ignored with a warning."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        required = ["latitude", "longitude", "timestamp"]
-        covariate_sources = {
-            "windspeed": "windspeed", "winddir": "winddir", "windgust": "windgust",
-            "humidity": "humidity", "temp": "temp", "precip": "precip",
-        }
-        needed_raw = set(required)
-        needs_winddir = False
-        for name in needed_columns:
-            if name in ("lat", "lon", "time_h"):
-                continue
-            if name in ("winddir_sin", "winddir_cos"):
-                needs_winddir = True
-            elif name in covariate_sources:
-                needed_raw.add(name)
-            else:
-                raise InputError(f"model requires unsupported column {name!r}")
-        if needs_winddir:
-            needed_raw.add("winddir")
-        missing = sorted(needed_raw - set(header))
-        if missing:
-            raise InputError(f"{path}: query file lacks required column(s) {missing}")
-        extra = sorted(set(header) - needed_raw - {"site_id", "pm2_5"})
-        if extra:
-            print(f"warning: ignoring extra query column(s) {extra}", file=sys.stderr)
-        col = {name: header.index(name) for name in header}
-
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            ts = data_mod._parse_timestamp(row[col["timestamp"]], line_no)
-            covs = None
-            if needed_raw - set(required):
-                covs = {}
-                for name in needed_raw - set(required):
-                    covs[name] = float(row[col[name]])
-                if needs_winddir:
-                    theta = math.radians(covs["winddir"])
-                    covs["winddir_sin"] = math.sin(theta)
-                    covs["winddir_cos"] = math.cos(theta)
-            site = row[col["site_id"]].strip() if "site_id" in col else f"q{line_no}"
-            rows.append(
-                SensorReading(
-                    site, float(row[col["latitude"]]), float(row[col["longitude"]]),
-                    ts, math.nan, covs,
-                )
-            )
-    if not rows:
-        raise InputError(f"{path}: no query rows")
-    return rows
-
-
 def cmd_predict(args):
     raw = load_config(args.config) if args.config else {}
     loaded = model_io.load_model(args.model)
-    queries = _read_query_csv(args.queries, loaded.columns)
+    queries, ignored = data_mod.load_query_csv(args.queries, loaded.columns)
+    if ignored:
+        print(f"warning: ignoring extra query column(s) {ignored}", file=sys.stderr)
     mean, latent_std, observed_std = loaded.predict_readings(queries)
 
     out = _out_dir(raw, args)

@@ -8,6 +8,7 @@ generator with known ground truth closes the loop for end-to-end tests.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
@@ -41,19 +42,67 @@ class SensorReading:
     covariates: dict = None
 
 
-def _parse_timestamp(raw, line_no):
+def _parse_timestamp(raw, path, line_no):
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
-        raise FormatError(f"line {line_no}: timestamp {raw!r} is not ISO-8601") from None
+        raise FormatError(
+            f"{path}: line {line_no}: timestamp {raw!r} is not ISO-8601"
+        ) from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     else:
         ts = ts.astimezone(timezone.utc)
     return ts.replace(minute=0, second=0, microsecond=0)
+
+
+def _number(cell, path, line_no, name):
+    """A CSV cell as a finite float; anything else is a FormatError naming the line."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(
+            f"{path}: line {line_no}: {name} {cell!r} is not a finite number"
+        )
+    return value
+
+
+def _read_csv(handle, path, columns, optional=()):
+    """Check an open CSV file's header; returns (header, rows).
+
+    The header must name every column in `columns`; `optional` columns may
+    be absent. `rows` yields (line_no, cells) for each non-blank data row,
+    where `cells` holds the row's fields for `columns`, then for the
+    optional columns present, in that order. An empty file is an
+    InputError; a missing column or a short row is a FormatError naming
+    the line.
+    """
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise FormatError(f"{path}: line 1: missing column(s) {missing}")
+    present = list(columns) + [c for c in optional if c in header]
+    pick = operator.itemgetter(*(header.index(c) for c in present))
+    width = len(header)
+
+    def rows():
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) < width:
+                raise FormatError(f"{path}: line {line_no}: expected {width} fields")
+            yield line_no, pick(row)
+
+    return header, rows()
 
 
 @dataclass
@@ -68,45 +117,25 @@ def load_sensor_csv(path):
 
     Rows whose pm2_5 is missing, unparseable, negative or non-finite are
     dropped and counted. Duplicate (site, hour) rows are averaged. Bad
-    timestamps or coordinates are format errors naming the line.
+    timestamps or non-finite coordinates are format errors naming the line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in SENSOR_COLUMNS if c not in header]
-        if missing:
-            raise FormatError(f"{path}: line 1: missing column(s) {missing}")
-        col = {name: header.index(name) for name in SENSOR_COLUMNS}
-
+        _, rows = _read_csv(handle, path, SENSOR_COLUMNS)
         report = LoadReport()
         merged = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise FormatError(f"{path}: line {line_no}: expected {len(header)} fields")
+        for line_no, (site, lat, lon, stamp, pm) in rows:
             report.rows_read += 1
-            raw_pm = row[col["pm2_5"]].strip()
             try:
-                pm25 = float(raw_pm)
+                pm25 = float(pm)
             except ValueError:
                 pm25 = math.nan
             if not math.isfinite(pm25) or pm25 < 0:
                 report.dropped_bad_value += 1
                 continue
-            ts = _parse_timestamp(row[col["timestamp"]], line_no)
-            try:
-                lat = float(row[col["latitude"]])
-                lon = float(row[col["longitude"]])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line_no}: latitude/longitude must be numeric"
-                ) from None
-            key = (row[col["site_id"]].strip(), ts)
+            ts = _parse_timestamp(stamp, path, line_no)
+            lat = _number(lat, path, line_no, "latitude")
+            lon = _number(lon, path, line_no, "longitude")
+            key = (site.strip(), ts)
             if key in merged:
                 merged[key][3].append(pm25)
                 report.duplicates_averaged += 1
@@ -227,44 +256,34 @@ def filter_with_fences(readings, report):
 
 def load_weather_csv(path):
     """Weather covariates keyed by UTC hour; one row per hour."""
+    names = WEATHER_COLUMNS[1:]
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        missing = [c for c in WEATHER_COLUMNS if c not in header]
-        if missing:
-            raise FormatError(f"{path}: line 1: missing column(s) {missing}")
-        col = {name: header.index(name) for name in WEATHER_COLUMNS}
+        _, rows = _read_csv(handle, path, WEATHER_COLUMNS)
         table = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            ts = _parse_timestamp(row[col["timestamp"]], line_no)
+        for line_no, (stamp, *cells) in rows:
+            ts = _parse_timestamp(stamp, path, line_no)
             if ts in table:
                 raise FormatError(f"{path}: line {line_no}: duplicate hour {ts.isoformat()}")
-            try:
-                table[ts] = {
-                    name: float(row[col[name]])
-                    for name in WEATHER_COLUMNS
-                    if name != "timestamp"
-                }
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line_no}: covariates must be numeric"
-                ) from None
+            table[ts] = {
+                name: _number(cell, path, line_no, name)
+                for name, cell in zip(names, cells)
+            }
     if not table:
         raise InputError(f"{path}: no usable weather rows")
     return table
+
+
+def _with_winddir_encoding(covariates):
+    """The covariates plus wind direction as a (sin, cos) pair, since direction is circular."""
+    theta = math.radians(covariates["winddir"])
+    return {**covariates, "winddir_sin": math.sin(theta), "winddir_cos": math.cos(theta)}
 
 
 def join_weather(readings, weather):
     """Attach each reading's hourly covariates; readings with no match are dropped.
 
     `weather` is a path or a table from load_weather_csv. Wind direction is
-    kept in degrees and additionally encoded as a (sin, cos) pair, since
-    direction is circular.
+    kept in degrees and additionally encoded as a (sin, cos) pair.
     """
     if not isinstance(weather, dict):
         weather = load_weather_csv(weather)
@@ -274,12 +293,56 @@ def join_weather(readings, weather):
         if row is None:
             dropped += 1
             continue
-        theta = math.radians(row["winddir"])
-        covs = dict(row)
-        covs["winddir_sin"] = math.sin(theta)
-        covs["winddir_cos"] = math.cos(theta)
-        joined.append(replace(r, covariates=covs))
+        joined.append(replace(r, covariates=_with_winddir_encoding(row)))
     return joined, dropped
+
+
+def load_query_csv(path, columns):
+    """Query readings for a model with input `columns`; returns (readings, ignored).
+
+    The file needs latitude, longitude and timestamp, plus the raw weather
+    column behind each covariate in `columns`; site_id is optional and
+    defaults to q<line>. Readings carry a NaN target. `ignored` lists the
+    header's other columns, pm2_5 excepted.
+    """
+    weather = []
+    for name in columns:
+        if name in BASE_INPUT_COLUMNS:
+            continue
+        raw = "winddir" if name in ("winddir_sin", "winddir_cos") else name
+        if raw not in WEATHER_COLUMNS[1:]:
+            raise InputError(f"model requires unsupported column {name!r}")
+        if raw not in weather:
+            weather.append(raw)
+    required = ["latitude", "longitude", "timestamp"] + weather
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, rows = _read_csv(handle, path, required, optional=("site_id",))
+        has_site = "site_id" in header
+        readings = []
+        for line_no, cells in rows:
+            lat, lon, stamp = cells[:3]
+            covs = None
+            if weather:
+                covs = {
+                    name: _number(cell, path, line_no, name)
+                    for name, cell in zip(weather, cells[3:])
+                }
+                if "winddir" in covs:
+                    covs = _with_winddir_encoding(covs)
+            readings.append(
+                SensorReading(
+                    cells[-1].strip() if has_site else f"q{line_no}",
+                    _number(lat, path, line_no, "latitude"),
+                    _number(lon, path, line_no, "longitude"),
+                    _parse_timestamp(stamp, path, line_no),
+                    math.nan,
+                    covs,
+                )
+            )
+    if not readings:
+        raise InputError(f"{path}: no query rows")
+    ignored = sorted(set(header) - set(required) - {"site_id", "pm2_5"})
+    return readings, ignored
 
 
 @dataclass

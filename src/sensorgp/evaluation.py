@@ -183,11 +183,12 @@ def _clean_training(train_readings, config):
     return cleaned
 
 
-def _fit_and_predict(train_readings, test_readings, config, seed):
-    """Train one model per the config and return predicted means in µg/m³."""
-    dataset = data_mod.build_dataset(
-        train_readings, include_covariates=config.additional_inputs
-    )
+def fit_model(dataset, config, seed):
+    """Build the backend a resolved config names and fit it; returns (model, FitResult).
+
+    The exact backend trains on a seeded subsample when the dataset is
+    larger than `config.subsample`.
+    """
     opts = config.optimizer_options(seed)
     if config.backend == "statespace":
         spatial = kernels_mod.SquaredExponential(
@@ -196,30 +197,29 @@ def _fit_and_predict(train_readings, test_readings, config, seed):
         model = StateSpaceGP.from_dataset(
             spatial, config.temporal, dataset, noise_variance=config.noise_variance
         )
-        model.fit(opts)
-    elif config.backend == "svgp":
-        kernel = kernels_mod.rescale_periods(
-            _build_kernel(dataset.columns, config), dataset.col_scale
-        )
+        return model, model.fit(opts)
+    kernel = kernels_mod.rescale_periods(
+        _build_kernel(dataset.columns, config), dataset.col_scale
+    )
+    if config.backend == "svgp":
         model = SVGPModel.from_dataset(
             kernel, dataset, min(config.n_inducing, dataset.n),
             noise_variance=config.noise_variance, seed=seed,
         )
-        model.fit(opts, optimize_inducing=config.optimize_inducing)
-    else:
-        kernel = kernels_mod.rescale_periods(
-            _build_kernel(dataset.columns, config), dataset.col_scale
-        )
-        fit_data = (
-            subsample(dataset, config.subsample, seed)
-            if config.subsample < dataset.n else dataset
-        )
-        model = GPModel.from_dataset(
-            kernel, fit_data, noise_variance=config.noise_variance
-        )
-        model.fit(opts)
-    Xq = dataset.encode_inputs(test_readings)
-    prediction = model.predict(Xq)
+        return model, model.fit(opts, optimize_inducing=config.optimize_inducing)
+    if config.subsample < dataset.n:
+        dataset = subsample(dataset, config.subsample, seed)
+    model = GPModel.from_dataset(kernel, dataset, noise_variance=config.noise_variance)
+    return model, model.fit(opts)
+
+
+def _fit_and_predict(train_readings, test_readings, config, seed):
+    """Train one model per the config and return predicted means in µg/m³."""
+    dataset = data_mod.build_dataset(
+        train_readings, include_covariates=config.additional_inputs
+    )
+    model, _ = fit_model(dataset, config, seed)
+    prediction = model.predict(dataset.encode_inputs(test_readings))
     return dataset.decode_targets(prediction.mean)
 
 

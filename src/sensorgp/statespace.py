@@ -245,7 +245,8 @@ class StateSpaceGP:
         return np.arange(n_sites) * self.temporal.state_dim
 
     def _apply_transition(self, A, m, P):
-        """(I (x) A) m and (I (x) A) P (I (x) A)^T without forming the kron."""
+        """(I (x) A) m, (I (x) A) P (I (x) A)^T and the half product (I (x) A) P,
+        without forming the kron."""
         q = self.temporal.state_dim
         S = m.size // q
         m4 = m.reshape(S, q)
@@ -255,7 +256,7 @@ class StateSpaceGP:
         # contraction itself at these sizes
         half = np.einsum("ab,ibjc->iajc", A, P4, optimize=False)
         P_new = np.einsum("iajc,dc->iajd", half, A, optimize=False)
-        return m_new, P_new.reshape(S * q, S * q)
+        return m_new, P_new.reshape(S * q, S * q), half.reshape(S * q, S * q)
 
     def _filter(self, times, values, collect=False):
         """Forward pass; returns log-likelihood and, when collecting, the
@@ -282,7 +283,7 @@ class StateSpaceGP:
                     A, Qt = self.temporal.transition(dt)
                     transitions[key] = (A, np.kron(Ks, Qt))
                 A, Q = transitions[key]
-                m, P = self._apply_transition(A, m, P)
+                m, P, _ = self._apply_transition(A, m, P)
                 P = P + Q
                 if collect:
                     gaps.append(dt)
@@ -327,6 +328,9 @@ class StateSpaceGP:
         wanted = set(int(w) for w in wanted)
         out = {}
         Ks = self.spatial_kernel.gram(self.grid.coords)
+        # not the filter's cache: that one fills in forward order, and gaps
+        # rounding to one key differ in their last bits, so sharing it would
+        # move the smoothed moments in the last digits
         transitions = {}
 
         m_s, P_s = filtered[-1]
@@ -339,11 +343,10 @@ class StateSpaceGP:
                 A_k, Qt_k = self.temporal.transition(gaps[k])
                 transitions[key] = (A_k, np.kron(Ks, Qt_k))
             A, Q = transitions[key]
-            m_pred, P_pred = self._apply_transition(A, m_f, P_f)
+            m_pred, P_pred, AP = self._apply_transition(A, m_f, P_f)
             P_pred = P_pred + Q
             Lp, _ = chol_with_jitter(P_pred)
             # G = P_f A_joint^T P_pred^-1, built from its transpose
-            AP = self._apply_joint(A, P_f)
             G = chol_solve(Lp, AP).T
             m_s = m_f + G @ (m_s - m_pred)
             P_s = P_f + G @ (P_s - P_pred) @ G.T
@@ -351,14 +354,6 @@ class StateSpaceGP:
             if k in wanted:
                 out[k] = (m_s[pos].copy(), P_s[np.ix_(pos, pos)].copy())
         return out
-
-    def _apply_joint(self, A, P):
-        """(I (x) A) P for a symmetric P."""
-        q = self.temporal.state_dim
-        S = P.shape[0] // q
-        P4 = P.reshape(S, q, S, q)
-        out = np.einsum("ab,ibjc->iajc", A, P4, optimize=False)
-        return out.reshape(S * q, S * q)
 
     # -- fitting ------------------------------------------------------------
 

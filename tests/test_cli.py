@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sensorgp import data, model_io
 from sensorgp.cli import main
 
 BASE = "2021-11-01T00:00:00Z"
@@ -108,42 +109,122 @@ def test_synth_without_config_uses_defaults(tmp_path):
     assert meta["rows_written"] > 40000
 
 
-def test_fit_then_predict_roundtrip(tmp_path, sensors, capsys):
+# an on-grid site at a training hour, and an off-grid site after the last hour
+TWO_QUERIES = (
+    "site_id,latitude,longitude,timestamp\n"
+    "a,0.30,32.50,2021-11-01T05:00:00Z\n"
+    "new,0.40,32.60,2021-11-04T00:00:00Z\n"
+)
+
+
+def fit(tmp_path, sensors, experiment, weather=None):
+    """`sensorgp fit` on the sensor file with one experiment; returns the model path."""
+    section = {"sensors": str(sensors), "min_site_readings": 10}
+    if weather is not None:
+        section["weather"] = str(weather)
     config = write_config(
-        tmp_path / "run.json",
-        {
-            "data": {"sensors": str(sensors), "min_site_readings": 10},
-            "experiment": MEAN_PREDICTOR,
-        },
+        tmp_path / "run.json", {"data": section, "experiment": experiment}
     )
     out = tmp_path / "out"
     assert main(["fit", "--config", str(config), "--out-dir", str(out)]) == 0
-    model_path = out / "model.json"
-    assert model_path.exists()
+    return out / "model.json"
+
+
+def predict(model_path, queries):
+    """`sensorgp predict` into the model's directory; returns the exit status."""
+    return main(
+        ["predict", "--model", str(model_path), "--queries", str(queries),
+         "--out-dir", str(model_path.parent)]
+    )
+
+
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_fit_then_predict_roundtrip(tmp_path, sensors, capsys, backend):
+    model_path = fit(tmp_path, sensors, {**MEAN_PREDICTOR, "backend": backend})
+    assert json.loads(model_path.read_text(encoding="utf-8"))["backend"] == backend
     assert "wrote" in capsys.readouterr().out
 
     queries = tmp_path / "queries.csv"
-    queries.write_text(
-        "site_id,latitude,longitude,timestamp\n"
-        "a,0.30,32.50,2021-11-01T05:00:00Z\n"
-        "new,0.40,32.60,2021-11-04T00:00:00Z\n",
-        encoding="utf-8",
-    )
-    assert main(
-        ["predict", "--model", str(model_path), "--queries", str(queries),
-         "--out-dir", str(out)]
-    ) == 0
-    header, rows = read_csv_rows(out / "predictions.csv")
+    queries.write_text(TWO_QUERIES, encoding="utf-8")
+    assert predict(model_path, queries) == 0
+    header, rows = read_csv_rows(model_path.parent / "predictions.csv")
     assert header == [
         "site_id", "latitude", "longitude", "timestamp",
         "mean", "latent_std", "observed_std",
     ]
     assert [r[0] for r in rows] == ["a", "new"]
-    # near-zero kernel with one optimizer step leaves the model at the
+    # near-zero kernel with one optimizer step leaves every backend at the
     # training mean, (10 + 20 + 30) / 3, everywhere
     for row in rows:
         assert float(row[4]) == pytest.approx(20.0, abs=1e-6)
         assert float(row[6]) >= float(row[5]) >= 0.0
+
+
+def write_weather(path, n_hours=72):
+    lines = ["timestamp,windspeed,winddir,windgust,humidity,temp,precip"]
+    for h in range(n_hours):
+        lines.append(
+            f"{hour_stamp(h)},{1.0 + h % 5},{(47 * h) % 360},{3.0 + h % 3},"
+            f"{0.5 + 0.01 * h},{20.0 + h % 7},{0.1 * (h % 4)}"
+        )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_predict_with_weather_covariates_matches_training_rows(tmp_path, sensors, capsys):
+    weather = write_weather(tmp_path / "weather.csv")
+    model_path = fit(
+        tmp_path, sensors, {**MEAN_PREDICTOR, "additional_inputs": True}, weather
+    )
+
+    # site b at hour 29, with that hour's raw weather row (and no pm2_5)
+    hour = 29
+    header, *weather_rows = weather.read_text(encoding="utf-8").splitlines()
+    queries = tmp_path / "queries.csv"
+    queries.write_text(
+        f"site_id,latitude,longitude,{header}\n"
+        f"b,0.31,32.52,{weather_rows[hour]}\n",
+        encoding="utf-8",
+    )
+    loaded = model_io.load_model(model_path)
+    assert "winddir_sin" in loaded.columns
+    readings, ignored = data.load_query_csv(queries, loaded.columns)
+    assert ignored == []
+    train_X = np.array(json.loads(model_path.read_text(encoding="utf-8"))["train"]["X"])
+    # training rows are sorted by (hour, site) over sites a, b, c
+    np.testing.assert_array_equal(loaded.encode(readings)[0], train_X[3 * hour + 1])
+
+    capsys.readouterr()
+    assert predict(model_path, queries) == 0
+    assert "warning" not in capsys.readouterr().err
+    _, rows = read_csv_rows(model_path.parent / "predictions.csv")
+    assert [r[0] for r in rows] == ["b"]
+
+    no_humidity = tmp_path / "no_humidity.csv"
+    no_humidity.write_text(
+        "latitude,longitude,timestamp,windspeed,winddir,windgust,temp,precip\n"
+        "0.31,32.52,2021-11-02T05:00:00Z,1,2,3,4,5\n",
+        encoding="utf-8",
+    )
+    assert predict(model_path, no_humidity) == 1
+    assert "humidity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("latitude", ["abc", "nan"])
+def test_predict_rejects_bad_query_coordinates(tmp_path, sensors, capsys, latitude):
+    model_path = fit(tmp_path, sensors, MEAN_PREDICTOR)
+    queries = tmp_path / "queries.csv"
+    queries.write_text(
+        "site_id,latitude,longitude,timestamp\n"
+        f"q1,{latitude},32.6,2021-11-06T05:00:00Z\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert predict(model_path, queries) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "queries.csv: line 2: latitude" in err
+    assert not (model_path.parent / "predictions.csv").exists()
 
 
 def test_predict_requires_model_flag(tmp_path):
@@ -155,15 +236,7 @@ def test_predict_requires_model_flag(tmp_path):
 
 
 def test_predict_warns_on_extra_query_columns(tmp_path, sensors, capsys):
-    config = write_config(
-        tmp_path / "run.json",
-        {
-            "data": {"sensors": str(sensors), "min_site_readings": 10},
-            "experiment": MEAN_PREDICTOR,
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["fit", "--config", str(config), "--out-dir", str(out)]) == 0
+    model_path = fit(tmp_path, sensors, MEAN_PREDICTOR)
     queries = tmp_path / "queries.csv"
     queries.write_text(
         "latitude,longitude,timestamp,elevation\n"
@@ -171,14 +244,11 @@ def test_predict_warns_on_extra_query_columns(tmp_path, sensors, capsys):
         encoding="utf-8",
     )
     capsys.readouterr()
-    assert main(
-        ["predict", "--model", str(out / "model.json"), "--queries", str(queries),
-         "--out-dir", str(out)]
-    ) == 0
+    assert predict(model_path, queries) == 0
     captured = capsys.readouterr()
     assert "ignoring extra query column(s)" in captured.err
     assert "elevation" in captured.err
-    _, rows = read_csv_rows(out / "predictions.csv")
+    _, rows = read_csv_rows(model_path.parent / "predictions.csv")
     assert len(rows) == 1
 
 
@@ -334,25 +404,14 @@ def test_stats_tables(tmp_path, sensors):
 def test_fit_saves_periodic_models(tmp_path, sensors):
     # the periodic tree wraps a product of kernels in a column filter, which
     # must survive serialization
-    config = write_config(
-        tmp_path / "run.json",
-        {
-            "data": {"sensors": str(sensors), "min_site_readings": 10},
-            "experiment": {**MEAN_PREDICTOR, "periodic": True},
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["fit", "--config", str(config), "--out-dir", str(out)]) == 0
+    model_path = fit(tmp_path, sensors, {**MEAN_PREDICTOR, "periodic": True})
     queries = tmp_path / "queries.csv"
     queries.write_text(
         "latitude,longitude,timestamp\n0.30,32.50,2021-11-02T00:00:00Z\n",
         encoding="utf-8",
     )
-    assert main(
-        ["predict", "--model", str(out / "model.json"), "--queries", str(queries),
-         "--out-dir", str(out)]
-    ) == 0
-    _, rows = read_csv_rows(out / "predictions.csv")
+    assert predict(model_path, queries) == 0
+    _, rows = read_csv_rows(model_path.parent / "predictions.csv")
     assert float(rows[0][4]) == pytest.approx(20.0, abs=1e-6)
 
 

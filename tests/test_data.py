@@ -102,10 +102,11 @@ def test_load_bad_timestamp_names_line(tmp_path):
         data.load_sensor_csv(p)
 
 
-def test_load_bad_coordinates_rejected(tmp_path):
+@pytest.mark.parametrize("latitude", ["north", "nan", "inf"])
+def test_load_bad_coordinates_rejected(tmp_path, latitude):
     p = tmp_path / "s.csv"
-    write_csv(p, [("a", "north", 32.5, "2021-11-01T00:00:00Z", 1.0)])
-    with pytest.raises(FormatError):
+    write_csv(p, [("a", latitude, 32.5, "2021-11-01T00:00:00Z", 1.0)])
+    with pytest.raises(FormatError, match="line 2: latitude"):
         data.load_sensor_csv(p)
 
 
@@ -258,11 +259,20 @@ def test_join_weather_drops_unmatched_hours(tmp_path):
     assert [r.timestamp.hour for r in joined] == [0, 1, 3]
 
 
-def test_weather_duplicate_hour_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "second_row",
+    [
+        pytest.param(("2021-11-01T00:30:00Z", 2, 0, 0, 0, 21, 0), id="duplicate-hour"),
+        pytest.param(("2021-11-01T01:00:00Z", 2, "nan", 0, 0, 21, 0), id="nan"),
+        pytest.param(("2021-11-01T01:00:00Z", 2, 0, 0, 0, "-inf", 0), id="inf"),
+        pytest.param(("2021-11-01T01:00:00Z", 2, 0, "calm", 0, 21, 0), id="text"),
+    ],
+)
+def test_weather_bad_row_rejected(tmp_path, second_row):
     wpath = tmp_path / "w.csv"
-    rows = [("2021-11-01T00:00:00Z", 1, 0, 0, 0, 20, 0), ("2021-11-01T00:30:00Z", 2, 0, 0, 0, 21, 0)]
+    rows = [("2021-11-01T00:00:00Z", 1, 0, 0, 0, 20, 0), second_row]
     write_csv(wpath, rows, header=data.WEATHER_COLUMNS)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="line 3"):
         data.load_weather_csv(wpath)
 
 
