@@ -19,7 +19,7 @@ import yaml
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from . import model_io
+from . import linalg, model_io
 from .errors import ConfigError, InputError, SensorGPError
 
 ROW_KEYS = (
@@ -367,7 +367,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with linalg.single_threaded_blas():
+            return args.func(args)
     except SensorGPError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -145,7 +145,9 @@ def load_sensor_csv(path):
     if not merged:
         raise InputError(f"{path}: no usable readings")
     readings = [
-        SensorReading(site, lat, lon, ts, float(np.mean(values)))
+        SensorReading(
+            site, lat, lon, ts, values[0] if len(values) == 1 else float(np.mean(values))
+        )
         for (site, ts), (_, lat, lon, values) in sorted(
             merged.items(), key=lambda item: (item[0][1], item[0][0])
         )

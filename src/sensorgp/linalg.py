@@ -1,4 +1,11 @@
-"""Shared dense linear-algebra helpers: jittered Cholesky and its reverse-mode rule."""
+"""Shared dense linear-algebra helpers: jittered Cholesky and its reverse-mode rule,
+plus a scoped single-thread pin for the OpenBLAS libraries numpy and scipy load."""
+
+import ctypes
+import os
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -22,17 +29,20 @@ def chol_with_jitter(A):
             "Cholesky factorization failed: matrix has non-finite entries",
             jitter_levels=[],
         )
+    try:
+        return np.linalg.cholesky(A), 0.0
+    except np.linalg.LinAlgError:
+        pass
     base = float(np.mean(np.diag(A))) if A.shape[0] else 1.0
     if not np.isfinite(base) or base <= 0.0:
         base = 1.0
-    tried = []
+    tried = [0.0]
     eye = np.eye(A.shape[0])
-    for factor in (0.0,) + _JITTER_FACTORS:
+    for factor in _JITTER_FACTORS:
         jitter = factor * base
         tried.append(jitter)
         try:
-            L = np.linalg.cholesky(A + jitter * eye)
-            return L, jitter
+            return np.linalg.cholesky(A + jitter * eye), jitter
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -71,3 +81,80 @@ def chol_rev(L, Lbar):
     tmp = tri_solve(L, P, trans=True)
     Abar = tri_solve(L, tmp.T, trans=True).T
     return 0.5 * (Abar + Abar.T)
+
+
+# Thread-count entry points, by OpenBLAS build: plain, and the prefixed
+# scipy-openblas builds that the scipy (LP64) and numpy (ILP64) wheels vendor.
+_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+class _ThreadControl(NamedTuple):
+    path: str
+    get: object
+    set: object
+
+
+@lru_cache(maxsize=None)
+def _thread_control(path):
+    """The thread-count get/set pair a shared library exports, or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for get_name, set_name in _THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return _ThreadControl(path, get, set_)
+    return None
+
+
+def _openblas_thread_controls():
+    """Thread-count get/set pairs of every OpenBLAS mapped into this process.
+
+    Empty where /proc/self/maps is unreadable (non-Linux) or no mapped
+    library carrying "openblas" in its name exports a known pair.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = {
+                line.split(maxsplit=5)[-1].strip()
+                for line in handle
+                if "openblas" in line
+            }
+    except OSError:
+        return []
+    controls = (
+        _thread_control(path)
+        for path in sorted(paths)
+        if "openblas" in os.path.basename(path)
+    )
+    return [control for control in controls if control is not None]
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    The kernel, Cholesky and Kalman matrices here are too small to gain from
+    BLAS threads, so cores are better spent on caller-level parallelism (the
+    nowcast fold pool). The thread count is process-wide: enter this once,
+    around the whole parallel section, never from its workers. Saved counts
+    are restored on exit, also when the block raises. Without a loaded
+    OpenBLAS exporting a known setter (MKL, Accelerate, non-Linux) this does
+    nothing.
+    """
+    controls = _openblas_thread_controls()
+    saved = [control.get() for control in controls]
+    for control in controls:
+        control.set(1)
+    try:
+        yield
+    finally:
+        for control, count in zip(controls, saved):
+            control.set(count)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sensorgp import data, model_io
+from sensorgp import evaluation as eval_mod
 from sensorgp.cli import main
 
 BASE = "2021-11-01T00:00:00Z"
@@ -427,3 +428,39 @@ def test_fit_honors_config_output_directory(tmp_path, sensors):
     )
     assert main(["fit", "--config", str(config)]) == 0
     assert (out / "model.json").exists()
+
+
+def test_benchmark_matches_library_run_at_default_blas_threads(tmp_path):
+    # the CLI runs BLAS on one thread, a library caller at the default
+    # thread count; OpenBLAS sums in a thread-dependent order, so the exact
+    # backend's RMSEs may differ in the last bits, never in the table
+    def wavy(base, h):
+        return base + 6.0 * np.sin(2 * np.pi * h / 24) + ((37 * h + int(base)) % 11) / 5
+
+    sensors = write_sensors(
+        tmp_path / "wavy.csv",
+        [("a", 0.30, 32.50, 10.0), ("b", 0.31, 32.52, 20.0), ("c", 0.29, 32.54, 30.0)],
+        fn=wavy,
+    )
+    matrix = [
+        {"backend": "exact", "periodic": True, "budget": 10, "repetitions": 1,
+         "seeds": [1]},
+        {"backend": "svgp", "budget": 60, "n_inducing": 16, "batch_size": 64},
+    ]
+    config = benchmark_config(tmp_path, sensors, matrix)
+    out = tmp_path / "cli"
+    assert main(
+        ["benchmark", "--config", str(config), "--out-dir", str(out), "--protocol", "both"]
+    ) == 0
+
+    readings, _ = data.load_sensor_csv(sensors)
+    reports = eval_mod.run_matrix(
+        readings, [eval_mod.ExperimentConfig(**row) for row in matrix]
+    )
+    eval_mod.write_comparison_csv(reports, tmp_path / "library.csv")
+    assert (out / "comparison.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    cli_reports = json.loads((out / "reports.json").read_text(encoding="utf-8"))["reports"]
+    assert len(cli_reports) == len(reports) == 4
+    for cli_report, report in zip(cli_reports, reports):
+        assert cli_report["per_site"] == pytest.approx(report.per_site, rel=1e-12, abs=0)

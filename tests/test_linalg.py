@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,58 @@ def test_chol_rev_symmetric_output():
     L = np.linalg.cholesky(A)
     Abar = linalg.chol_rev(L, np.tril(rng.normal(size=(4, 4))))
     np.testing.assert_allclose(Abar, Abar.T, atol=1e-12)
+
+
+@pytest.fixture()
+def blas_controls():
+    """Every loaded OpenBLAS, set to two threads so a pin to one is visible."""
+    controls = linalg._openblas_thread_controls()
+    saved = [control.get() for control in controls]
+    for control in controls:
+        control.set(2)
+    yield controls
+    for control, count in zip(controls, saved):
+        control.set(count)
+
+
+def counts(controls):
+    return [control.get() for control in controls]
+
+
+def test_single_threaded_blas_pins_and_restores(blas_controls):
+    with linalg.single_threaded_blas():
+        assert counts(blas_controls) == [1] * len(blas_controls)
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_single_threaded_blas_restores_after_exception(blas_controls):
+    with pytest.raises(RuntimeError, match="inside"):
+        with linalg.single_threaded_blas():
+            assert counts(blas_controls) == [1] * len(blas_controls)
+            raise RuntimeError("inside")
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_single_threaded_blas_nests(blas_controls):
+    with linalg.single_threaded_blas():
+        with linalg.single_threaded_blas():
+            assert counts(blas_controls) == [1] * len(blas_controls)
+        assert counts(blas_controls) == [1] * len(blas_controls)
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_single_threaded_blas_without_openblas_is_a_no_op(blas_controls, monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [])
+    with linalg.single_threaded_blas():
+        assert counts(blas_controls) == [2] * len(blas_controls)
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas",
+    reason="numpy and scipy vendor their own OpenBLAS only in the Linux PyPI wheels",
+)
+def test_finds_numpy_and_scipy_openblas():
+    found = {Path(c.path).parent.name for c in linalg._openblas_thread_controls()}
+    assert {"numpy.libs", "scipy.libs"} <= found
