@@ -80,9 +80,15 @@ class GPModel:
 
     # -- inference ----------------------------------------------------------
 
-    def _factor(self):
+    def _factor(self, K=None):
+        """Cholesky factor and weights at the current parameters, cached.
+
+        K, when given, is the Gram matrix at these parameters, so a caller
+        that already evaluated it does not pay for a second kernel pass.
+        """
         if self._cache is None:
-            K = self.kernel.gram(self.X)
+            if K is None:
+                K = self.kernel.gram(self.X)
             A = K + self.noise_variance * np.eye(self.X.shape[0])
             L, jitter = chol_with_jitter(A)
             residual = self.y - self.mean
@@ -99,11 +105,11 @@ class GPModel:
 
     def grad_log_marginal_likelihood(self):
         """Gradient over [kernel log-params, log noise variance, mean]."""
-        L, alpha, _, _ = self._factor()
+        K, dKs = self.kernel.gram_and_grads(self.X)
+        L, alpha, _, _ = self._factor(K)
         n = alpha.size
         K_inv = chol_solve(L, np.eye(n))
         M = np.outer(alpha, alpha) - K_inv
-        _, dKs = self.kernel.gram_and_grads(self.X)
         grads = [0.5 * float(np.sum(M * dK)) for dK in dKs]
         grads.append(0.5 * self.noise_variance * float(np.trace(M)))
         grads.append(float(np.sum(alpha)))
@@ -114,8 +120,10 @@ class GPModel:
         opts = opts or OptimizerOptions()
 
         def value_and_grad(theta):
+            # gradient first: its kernel pass also feeds the cached factor
             self.set_log_params(theta)
-            return self.log_marginal_likelihood(), self.grad_log_marginal_likelihood()
+            grad = self.grad_log_marginal_likelihood()
+            return self.log_marginal_likelihood(), grad
 
         best, value, iters, converged, trace = maximize(
             value_and_grad, self.log_params(), opts

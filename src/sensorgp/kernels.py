@@ -139,12 +139,18 @@ class SquaredExponential(Kernel):
             raise InputError(
                 f"ARD kernel built for {np.atleast_1d(ls).size} dims, got {X.shape[1]}"
             )
-        diff = (X[:, None, :] - X2[None, :, :]) / ls
+        diff = X[:, None, :] - X2[None, :, :]
+        diff /= ls
         return diff, np.sum(diff * diff, axis=-1)
 
     def _gram(self, X, X2):
-        _, d2 = self._scaled_sqdist(X, X2)
-        return self.variance * np.exp(-0.5 * d2)
+        # in place: each fresh n x n temporary costs about as much as the
+        # arithmetic on it
+        _, K = self._scaled_sqdist(X, X2)
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= self.variance
+        return K
 
     def _diag(self, X):
         return np.full(X.shape[0], self.variance)
@@ -228,9 +234,15 @@ class Periodic(Kernel):
 
     def _parts(self, X, X2):
         diff = X[:, None, :] - X2[None, :, :]
-        u = np.pi * diff / self.period
-        s = np.sum(np.sin(u) ** 2, axis=-1)
-        K = self.variance * np.exp(-2.0 * s / self.lengthscale**2)
+        u = np.pi * diff
+        u /= self.period
+        sin2 = np.sin(u)
+        sin2 *= sin2
+        s = np.sum(sin2, axis=-1)
+        K = -2.0 * s
+        K /= self.lengthscale**2
+        np.exp(K, out=K)
+        K *= self.variance
         return diff, u, s, K
 
     def _gram(self, X, X2):
@@ -242,7 +254,10 @@ class Periodic(Kernel):
     def _gram_and_grads(self, X, X2):
         diff, u, s, K = self._parts(X, X2)
         ell2 = self.lengthscale**2
-        grads = [K.copy(), K * 4.0 * s / ell2]
+        d_ell = K * 4.0
+        d_ell *= s
+        d_ell /= ell2
+        grads = [K.copy(), d_ell]
         if self.learn_period:
             total = np.sum(diff * np.sin(2.0 * u), axis=-1)
             grads.append(K * (2.0 * np.pi / (ell2 * self.period)) * total)
@@ -354,6 +369,15 @@ class Sum(_Combination):
         return " + ".join(repr(c) for c in self.children)
 
 
+def _times(a, b):
+    """a * b, where None stands for an empty product."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a * b
+
+
 class Product(_Combination):
     """Elementwise product of child kernels."""
 
@@ -372,17 +396,15 @@ class Product(_Combination):
         return d
 
     def _others_product(self, mats):
-        # prefix/suffix products so no division is needed when a factor is ~0
-        n = len(mats)
-        prefix = [None] * (n + 1)
-        suffix = [None] * (n + 1)
-        prefix[0] = 1.0
-        suffix[n] = 1.0
-        for i in range(n):
-            prefix[i + 1] = prefix[i] * mats[i]
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * mats[i]
-        return [prefix[i] * suffix[i + 1] for i in range(n)]
+        # prefix/suffix products so no division is needed when a factor is ~0;
+        # None stands for an empty product, so no pass multiplies by 1.0
+        prefix, suffix = [None], [None]
+        for m in mats[:-1]:
+            prefix.append(_times(prefix[-1], m))
+        for m in mats[:0:-1]:
+            suffix.append(_times(suffix[-1], m))
+        others = [_times(left, right) for left, right in zip(prefix, reversed(suffix))]
+        return [1.0 if other is None else other for other in others]
 
     def _gram_and_grads(self, X, X2):
         Ks, grads_per_child = [], []
@@ -394,7 +416,10 @@ class Product(_Combination):
         grads = []
         for g_list, other in zip(grads_per_child, others):
             grads.extend(g * other for g in g_list)
-        K_total = others[0] * Ks[0] if len(Ks) else Ks[0]
+        # multiplied in _gram's order, so K is bit-identical to gram's
+        K_total = Ks[0]
+        for K in Ks[1:]:
+            K_total = K_total * K
         return K_total, grads
 
     def _diag_and_grads(self, X):

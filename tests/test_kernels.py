@@ -233,6 +233,21 @@ def test_product_gradient_uses_product_rule():
             np.testing.assert_allclose(grads[i], K, atol=1e-12)
 
 
+def test_gram_and_grads_matrix_is_gram_bit_for_bit():
+    # the exact GP factors the matrix gram_and_grads returns, so its value
+    # must not depend on which of the two calls built it
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(9, 3))
+    three = (
+        kernels.SquaredExponential(1.3, 0.7)
+        * kernels.Periodic(0.8, 1.1, 2.0)
+        * kernels.ActiveDims([0, 2], kernels.SquaredExponential(0.5, [1.0, 2.0]))
+    )
+    for k in (random_tree(rng), three + kernels.SquaredExponential(0.3, 1.5)):
+        K, _ = k.gram_and_grads(X)
+        assert np.array_equal(K, k.gram(X))
+
+
 def test_diag_and_grads_consistent():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(6, 3))
