@@ -213,7 +213,7 @@ def cmd_fit(args):
 def cmd_predict(args):
     raw = load_config(args.config) if args.config else {}
     loaded = model_io.load_model(args.model)
-    queries, ignored = data_mod.load_query_csv(args.queries, loaded.columns)
+    queries, ignored = data_mod.load_query_csv(args.queries, loaded.model.dataset.columns)
     if ignored:
         print(f"warning: ignoring extra query column(s) {ignored}", file=sys.stderr)
     mean, latent_std, observed_std = loaded.predict_readings(queries)

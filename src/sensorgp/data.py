@@ -190,11 +190,6 @@ class OutlierReport:
     def total_removed(self):
         return sum(g.removed for g in self.groups.values())
 
-    @property
-    def removed_fraction(self):
-        total = sum(g.count for g in self.groups.values())
-        return self.total_removed / total if total else 0.0
-
 
 def _fences(values, factor, mode):
     q1 = float(np.percentile(values, 25))
@@ -243,17 +238,6 @@ def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
         kept.extend(surviving)
     kept.sort(key=lambda r: (r.timestamp, r.site_id))
     return kept, report
-
-
-def filter_with_fences(readings, report):
-    """Reapply a previous report's frozen fences (used for idempotence checks)."""
-    kept = []
-    for r in readings:
-        key = r.site_id if report.scope == "per-site" else "__all__"
-        fences = report.groups.get(key)
-        if fences is None or fences.skipped or fences.lower <= r.pm25 <= fences.upper:
-            kept.append(r)
-    return kept
 
 
 def load_weather_csv(path):
@@ -364,10 +348,6 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
-    @property
-    def d(self):
-        return self.X.shape[1]
-
     def take(self, indices):
         """Row subset sharing this dataset's normalization statistics."""
         indices = np.asarray(indices)
@@ -376,23 +356,13 @@ class Dataset:
             self.col_mean, self.col_scale, self.y_mean, self.y_scale, self.t0,
         )
 
-    def raw_inputs(self, rows=None):
-        X = self.X if rows is None else self.X[rows]
-        return X * self.col_scale + self.col_mean
-
     def encode_inputs(self, readings):
         """Design-matrix rows for new readings, using this dataset's statistics."""
         raw = _raw_matrix(readings, self.columns, self.t0)
         return (raw - self.col_mean) / self.col_scale
 
-    def encode_targets(self, values):
-        return (np.asarray(values, dtype=float) - self.y_mean) / self.y_scale
-
     def decode_targets(self, values):
         return np.asarray(values, dtype=float) * self.y_scale + self.y_mean
-
-    def decode_variance(self, variances):
-        return np.asarray(variances, dtype=float) * self.y_scale**2
 
 
 def _raw_matrix(readings, columns, t0):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import kernels as kernels_mod
+from . import linalg
 from .errors import ConfigError, InputError, ProtocolError
 from .exact_gp import GPModel, subsample
 from .optim import OptimizerOptions
@@ -262,7 +263,10 @@ def nowcast_loo(readings, config):
             fold_errors.append(np.asarray(mean) - np.asarray(truth))
         return site, fold_rmses, fold_errors, time.perf_counter() - start
 
-    with ThreadPoolExecutor(max_workers=max(1, config.parallelism)) as pool:
+    # the folds' small matrices gain nothing from BLAS threads; the pool gets the cores
+    with linalg.single_threaded_blas(), ThreadPoolExecutor(
+        max_workers=max(1, config.parallelism)
+    ) as pool:
         results = list(pool.map(run_fold, sites))
 
     site_reps, fold_seconds = {}, {}

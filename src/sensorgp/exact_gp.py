@@ -6,12 +6,12 @@ training points, which is why the benchmark subsamples training folds for
 this backend.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import _as_matrix
+from .kernels import _as_matrix, from_config, to_config
 from .linalg import chol_solve, chol_with_jitter, tri_solve
 from .optim import FitResult, OptimizerOptions, maximize
 
@@ -25,11 +25,12 @@ class PosteriorPrediction:
     mean: np.ndarray
     latent_variance: np.ndarray      # noise-free, clamped at zero
     observed_variance: np.ndarray    # latent + noise variance
-    covariance: np.ndarray = None    # full latent covariance, on request only
 
 
 class GPModel:
     """GP regression model with a constant learned mean and Gaussian noise."""
+
+    backend = "exact"  # its name in model files
 
     def __init__(self, kernel, X, y, noise_variance=0.1, mean=None):
         if noise_variance <= 0:
@@ -53,6 +54,26 @@ class GPModel:
         model = cls(kernel, dataset.X, dataset.y, noise_variance, mean)
         model.dataset = dataset
         return model
+
+    # -- model file block: kernel and training rows -------------------------
+
+    def to_doc(self):
+        return {
+            "kernel": to_config(self.kernel),
+            "train": {"X": self.X.tolist(), "y": self.y.tolist()},
+        }
+
+    @classmethod
+    def from_doc(cls, doc, dataset):
+        """Rebuild from a model file; `dataset` carries its normalization, no rows."""
+        train = replace(
+            dataset,
+            X=np.array(doc["train"]["X"], dtype=float),
+            y=np.array(doc["train"]["y"], dtype=float),
+        )
+        return cls.from_dataset(
+            from_config(doc["kernel"]), train, float(doc["noise_variance"]), float(doc["mean"])
+        )
 
     @property
     def noise_variance(self):
@@ -132,7 +153,7 @@ class GPModel:
         params = dict(zip(self.param_names(), best.tolist()))
         return FitResult(params, value, iters, converged, trace)
 
-    def predict(self, Xq, full_cov=False):
+    def predict(self, Xq):
         Xq = _as_matrix(Xq)
         if Xq.shape[1] != self.X.shape[1]:
             raise InputError(
@@ -142,13 +163,8 @@ class GPModel:
         K_q = self.kernel.gram(self.X, Xq)
         mean = self.mean + K_q.T @ alpha
         v = tri_solve(L, K_q)
-        covariance = None
-        if full_cov:
-            covariance = self.kernel.gram(Xq) - v.T @ v
-            latent = np.maximum(np.diag(covariance), 0.0)
-        else:
-            latent = np.maximum(self.kernel.diag(Xq) - np.sum(v * v, axis=0), 0.0)
-        return PosteriorPrediction(mean, latent, latent + self.noise_variance, covariance)
+        latent = np.maximum(self.kernel.diag(Xq) - np.sum(v * v, axis=0), 0.0)
+        return PosteriorPrediction(mean, latent, latent + self.noise_variance)
 
 
 def subsample(dataset, n, seed):

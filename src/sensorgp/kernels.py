@@ -439,7 +439,7 @@ class Product(_Combination):
         others = self._others_product(Ks)
         total = None
         for child, other in zip(self.children, others):
-            term = child._grad_x(X, X2) * other[..., None]
+            term = child._grad_x(X, X2) * np.expand_dims(other, -1)
             total = term if total is None else total + term
         return total
 

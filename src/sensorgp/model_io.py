@@ -1,11 +1,13 @@
 """Save and load fitted models as self-contained, human-readable JSON.
 
-A model file carries everything prediction needs: the kernel expression
-tree with parameter values, noise variance and prior mean, the input
-normalization statistics, and backend-specific state (training rows for
-the dense and state-space backends; inducing locations and the whitened
-variational parameters for the sparse one). Loading reconstructs a
-model that predicts identically without refitting.
+A model file carries everything prediction needs. This module writes the
+envelope: format marker and version, noise variance and prior mean, the
+input normalization statistics, the backend name and an optional fit
+block. Each backend writes and reads its own block through `to_doc` and
+`from_doc` (kernels, plus training rows for the dense and state-space
+backends, or inducing locations and the whitened variational parameters
+for the sparse one). Loading reconstructs a model that predicts
+identically without refitting, and that can be saved again.
 """
 
 import json
@@ -13,15 +15,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import kernels as kernels_mod
-from .data import _raw_matrix
+from .data import Dataset
 from .errors import FormatError, InputError
 from .exact_gp import GPModel
-from .statespace import StateSpaceGP, temporal_kernel
+from .statespace import StateSpaceGP
 from .svgp import SVGPModel
 
 MODEL_FORMAT = "sensorgp-model"
 MODEL_VERSION = 1
+BACKENDS = {cls.backend: cls for cls in (GPModel, SVGPModel, StateSpaceGP)}
 
 
 def _normalization_block(dataset):
@@ -35,6 +37,19 @@ def _normalization_block(dataset):
     }
 
 
+def _dataset_without_rows(norm):
+    """Inverse of _normalization_block: a Dataset with the statistics and no rows."""
+    columns = tuple(norm["columns"])
+    t0 = datetime.fromisoformat(norm["t0"])
+    if t0.tzinfo is None:
+        t0 = t0.replace(tzinfo=timezone.utc)
+    return Dataset(
+        np.empty((0, len(columns))), np.empty(0), columns,
+        np.array(norm["col_mean"], dtype=float), np.array(norm["col_scale"], dtype=float),
+        float(norm["y_mean"]), float(norm["y_scale"]), t0,
+    )
+
+
 def save_model(path, model, fit_info=None):
     """Write one fitted model; requires a model built from a Dataset."""
     if model.dataset is None:
@@ -45,33 +60,9 @@ def save_model(path, model, fit_info=None):
         "noise_variance": model.noise_variance,
         "mean": model.mean,
         "normalization": _normalization_block(model.dataset),
+        "backend": model.backend,
+        **model.to_doc(),
     }
-    if isinstance(model, GPModel):
-        doc["backend"] = "exact"
-        doc["kernel"] = kernels_mod.to_config(model.kernel)
-        doc["train"] = {"X": model.X.tolist(), "y": model.y.tolist()}
-    elif isinstance(model, SVGPModel):
-        doc["backend"] = "svgp"
-        doc["kernel"] = kernels_mod.to_config(model.kernel)
-        doc["inducing"] = model.Z.tolist()
-        doc["variational"] = {
-            "whitened_mean": model._m_w.tolist(),
-            "cov_factor_packed": model._c_pack.tolist(),
-        }
-    elif isinstance(model, StateSpaceGP):
-        doc["backend"] = "statespace"
-        doc["spatial_kernel"] = kernels_mod.to_config(model.spatial_kernel)
-        doc["temporal"] = {
-            "family": model.temporal.name,
-            "variance": model.temporal.variance,
-            "lengthscale": model.temporal.lengthscale,
-        }
-        doc["train"] = {
-            "X": model.dataset.X.tolist(),
-            "y": model.dataset.y.tolist(),
-        }
-    else:
-        raise InputError(f"cannot save a model of type {type(model).__name__}")
     if fit_info is not None:
         if isinstance(fit_info, dict):
             doc["fit"] = dict(fit_info)
@@ -87,30 +78,19 @@ def save_model(path, model, fit_info=None):
 
 
 class LoadedModel:
-    """A reconstructed model plus the normalization needed to serve queries."""
+    """A reconstructed model; its `dataset` holds the normalization that serves queries."""
 
-    def __init__(self, backend, model, norm):
-        self.backend = backend
+    def __init__(self, model):
+        self.backend = model.backend
         self.model = model
-        self.columns = tuple(norm["columns"])
-        self.col_mean = np.array(norm["col_mean"], dtype=float)
-        self.col_scale = np.array(norm["col_scale"], dtype=float)
-        self.y_mean = float(norm["y_mean"])
-        self.y_scale = float(norm["y_scale"])
-        self.t0 = datetime.fromisoformat(norm["t0"])
-        if self.t0.tzinfo is None:
-            self.t0 = self.t0.replace(tzinfo=timezone.utc)
-
-    def encode(self, readings):
-        raw = _raw_matrix(readings, self.columns, self.t0)
-        return (raw - self.col_mean) / self.col_scale
 
     def predict_readings(self, readings):
         """Means and standard deviations in original units for query readings."""
-        prediction = self.model.predict(self.encode(readings))
-        mean = prediction.mean * self.y_scale + self.y_mean
-        latent_std = np.sqrt(prediction.latent_variance) * self.y_scale
-        observed_std = np.sqrt(prediction.observed_variance) * self.y_scale
+        dataset = self.model.dataset
+        prediction = self.model.predict(dataset.encode_inputs(readings))
+        mean = dataset.decode_targets(prediction.mean)
+        latent_std = np.sqrt(prediction.latent_variance) * dataset.y_scale
+        observed_std = np.sqrt(prediction.observed_variance) * dataset.y_scale
         return mean, latent_std, observed_std
 
 
@@ -122,35 +102,7 @@ def load_model(path):
             raise FormatError(f"{path}: not a valid model file ({err})") from None
     if doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: missing or wrong format marker")
-    backend = doc.get("backend")
-    norm = doc["normalization"]
-    noise = float(doc["noise_variance"])
-    mean = float(doc["mean"])
-
-    if backend == "exact":
-        kernel = kernels_mod.from_config(doc["kernel"])
-        X = np.array(doc["train"]["X"], dtype=float)
-        y = np.array(doc["train"]["y"], dtype=float)
-        model = GPModel(kernel, X, y, noise_variance=noise, mean=mean)
-    elif backend == "svgp":
-        kernel = kernels_mod.from_config(doc["kernel"])
-        Z = np.array(doc["inducing"], dtype=float)
-        # the data arrays are unused at predict time; placeholders keep shapes valid
-        model = SVGPModel(
-            kernel, Z, np.zeros(Z.shape[0]), Z, noise_variance=noise, mean=mean
-        )
-        model._m_w = np.array(doc["variational"]["whitened_mean"], dtype=float)
-        model._c_pack = np.array(doc["variational"]["cov_factor_packed"], dtype=float)
-    elif backend == "statespace":
-        spatial = kernels_mod.from_config(doc["spatial_kernel"])
-        temporal = temporal_kernel(
-            doc["temporal"]["family"],
-            float(doc["temporal"]["variance"]),
-            float(doc["temporal"]["lengthscale"]),
-        )
-        X = np.array(doc["train"]["X"], dtype=float)
-        y = np.array(doc["train"]["y"], dtype=float)
-        model = StateSpaceGP(spatial, temporal, X, y, noise_variance=noise, mean=mean)
-    else:
-        raise FormatError(f"{path}: unknown backend {backend!r}")
-    return LoadedModel(backend, model, norm)
+    cls = BACKENDS.get(doc.get("backend"))
+    if cls is None:
+        raise FormatError(f"{path}: unknown backend {doc.get('backend')!r}")
+    return LoadedModel(cls.from_doc(doc, _dataset_without_rows(doc["normalization"])))

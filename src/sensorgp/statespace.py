@@ -16,23 +16,26 @@ independent of the whole on-grid process.
 """
 
 import math
-import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import optim
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction
-from .linalg import chol_solve, chol_with_jitter, tri_solve
+from .kernels import from_config, to_config
+from .linalg import chol_solve, chol_with_jitter
+
+# relative step of the central-difference likelihood gradient in `fit`
+FD_STEP = 1e-5
 
 
 class TemporalKernel:
     """Markovian stationary kernel on the time axis.
 
     Subclasses provide the state dimension, the stationary state
-    covariance, the discrete transition over a gap dt, the emission row,
-    and the plain covariance function used by dense oracles.
+    covariance, the discrete transition over a gap dt, and the plain
+    covariance function; the state's first component is the function value.
     """
 
     state_dim = None
@@ -60,30 +63,12 @@ class TemporalKernel:
     def param_names(self):
         return ["time.log_variance", "time.log_lengthscale"]
 
-    def emission(self):
-        row = np.zeros((1, self.state_dim))
-        row[0, 0] = 1.0
-        return row
-
-    def discretize(self, dt):
-        """Transition and process-noise pair (A, Q) for a positive time gap."""
-        if dt <= 0:
-            raise InputError(f"time gap must be positive, got {dt}")
-        return self.transition(dt)
-
 
 class Matern12(TemporalKernel):
     """Exponential covariance; its sample paths are an OU process."""
 
     state_dim = 1
     name = "matern12"
-
-    def feedback(self):
-        return np.array([[-1.0 / self.lengthscale]])
-
-    def diffusion(self):
-        # white-noise loading column and spectral density
-        return np.array([[1.0]]), 2.0 * self.variance / self.lengthscale
 
     def stationary_cov(self):
         return np.array([[self.variance]])
@@ -107,14 +92,6 @@ class Matern32(TemporalKernel):
 
     def _lam(self):
         return math.sqrt(3.0) / self.lengthscale
-
-    def feedback(self):
-        lam = self._lam()
-        return np.array([[0.0, 1.0], [-lam * lam, -2.0 * lam]])
-
-    def diffusion(self):
-        lam = self._lam()
-        return np.array([[0.0], [1.0]]), 4.0 * lam**3 * self.variance
 
     def stationary_cov(self):
         lam = self._lam()
@@ -184,6 +161,8 @@ def grid_from_arrays(X, y):
 class StateSpaceGP:
     """Exact GP regression for separable kernels, linear in the number of hours."""
 
+    backend = "statespace"  # its name in model files
+
     def __init__(self, spatial_kernel, temporal, X, y, noise_variance=0.1, mean=None):
         self.spatial_kernel = spatial_kernel.copy()
         if isinstance(temporal, str):
@@ -205,6 +184,37 @@ class StateSpaceGP:
         model = cls(spatial_kernel, temporal, dataset.X, dataset.y, noise_variance, mean)
         model.dataset = dataset
         return model
+
+    # -- model file block: both kernels and the training rows ---------------
+
+    def to_doc(self):
+        return {
+            "spatial_kernel": to_config(self.spatial_kernel),
+            "temporal": {
+                "family": self.temporal.name,
+                "variance": self.temporal.variance,
+                "lengthscale": self.temporal.lengthscale,
+            },
+            "train": {"X": self.dataset.X.tolist(), "y": self.dataset.y.tolist()},
+        }
+
+    @classmethod
+    def from_doc(cls, doc, dataset):
+        """Rebuild from a model file; `dataset` carries its normalization, no rows."""
+        temporal = temporal_kernel(
+            doc["temporal"]["family"],
+            float(doc["temporal"]["variance"]),
+            float(doc["temporal"]["lengthscale"]),
+        )
+        train = replace(
+            dataset,
+            X=np.array(doc["train"]["X"], dtype=float),
+            y=np.array(doc["train"]["y"], dtype=float),
+        )
+        return cls.from_dataset(
+            from_config(doc["spatial_kernel"]), temporal, train,
+            float(doc["noise_variance"]), float(doc["mean"]),
+        )
 
     # -- parameters ---------------------------------------------------------
 
@@ -311,10 +321,6 @@ class StateSpaceGP:
     def log_marginal_likelihood(self):
         return self._filter(self.grid.times, self.grid.values)[0]
 
-    def negative_log_likelihood(self):
-        """Filter-summed negative log-density; zero when nothing is observed."""
-        return -self.log_marginal_likelihood()
-
     def _smoothed_site_moments(self, times, values, wanted):
         """Smoothed mean/cov of the per-site function values at selected steps.
 
@@ -357,7 +363,7 @@ class StateSpaceGP:
 
     # -- fitting ------------------------------------------------------------
 
-    def fit(self, opts=None, fd_step=1e-5):
+    def fit(self, opts=None):
         """Maximize the filter likelihood with central-difference gradients.
 
         The parameter count is tiny (two kernels, noise, mean), so finite
@@ -370,7 +376,7 @@ class StateSpaceGP:
             value = self.log_marginal_likelihood()
             grad = np.empty_like(theta)
             for i in range(theta.size):
-                h = fd_step * max(1.0, abs(theta[i]))
+                h = FD_STEP * max(1.0, abs(theta[i]))
                 probe = theta.copy()
                 probe[i] = theta[i] + h
                 self.set_log_params(probe)
@@ -391,7 +397,7 @@ class StateSpaceGP:
 
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, Xq, full_cov=False):
+    def predict(self, Xq):
         """Posterior at arbitrary (lat, lon, time) rows.
 
         Query times are spliced into the time grid as unobserved steps, so
@@ -399,8 +405,6 @@ class StateSpaceGP:
         not on the training grid are conditioned on the smoothed on-grid
         values; that conditioning is exact for this covariance.
         """
-        if full_cov:
-            raise InputError("full covariance output is not available for this backend")
         Xq = np.asarray(Xq, dtype=float)
         if Xq.ndim != 2 or Xq.shape[1] != 3:
             raise InputError("query rows must be (lat, lon, time) triples")
@@ -439,16 +443,4 @@ class StateSpaceGP:
                 mean[i] = self.mean + a @ F_mean
                 latent[i] = residual_var + a @ F_cov @ a
         latent = np.maximum(latent, 0.0)
-        return PosteriorPrediction(mean, latent, latent + self.noise_variance, None)
-
-
-def filter_runtime(model, n_steps, repeats=2):
-    """Seconds for one filter sweep over the first n_steps rows (best of repeats)."""
-    times = model.grid.times[:n_steps]
-    values = model.grid.values[:n_steps]
-    best = math.inf
-    for _ in range(repeats):
-        start = _time.perf_counter()
-        model._filter(times, values)
-        best = min(best, _time.perf_counter() - start)
-    return best
+        return PosteriorPrediction(mean, latent, latent + self.noise_variance)

@@ -13,13 +13,13 @@ stays unbiased; the fit loop tracks the best full-batch bound seen.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import optim
 from .errors import InputError, NumericalError
 from .exact_gp import LOG_2PI, PosteriorPrediction
+from .kernels import from_config, to_config
 from .linalg import chol_rev, chol_with_jitter, tri_solve
 
 
@@ -60,6 +60,8 @@ def init_inducing(X, m, seed=0):
 class SVGPModel:
     """GP regression with an O(n m^2) variational bound instead of O(n^3)."""
 
+    backend = "svgp"  # its name in model files
+
     def __init__(self, kernel, X, y, inducing, noise_variance=0.1, seed=0, mean=None):
         self.kernel = kernel.copy()
         self.X = np.asarray(X, dtype=float)
@@ -70,8 +72,6 @@ class SVGPModel:
             raise InputError(
                 f"X has {self.X.shape[0]} rows but y has {self.y.shape[0]} targets"
             )
-        if self.X.shape[0] == 0:
-            raise InputError("cannot build a model from zero observations")
         if np.isscalar(inducing) or np.ndim(inducing) == 0:
             self.Z = init_inducing(self.X, int(inducing), seed=seed)
         else:
@@ -96,6 +96,30 @@ class SVGPModel:
     def from_dataset(cls, kernel, dataset, inducing, noise_variance=0.1, seed=0, mean=None):
         model = cls(kernel, dataset.X, dataset.y, inducing, noise_variance, seed, mean)
         model.dataset = dataset
+        return model
+
+    # -- model file block: kernel, inducing locations, whitened q(w) --------
+
+    def to_doc(self):
+        return {
+            "kernel": to_config(self.kernel),
+            "inducing": self.Z.tolist(),
+            "variational": {
+                "whitened_mean": self._m_w.tolist(),
+                "cov_factor_packed": self._c_pack.tolist(),
+            },
+        }
+
+    @classmethod
+    def from_doc(cls, doc, dataset):
+        """Rebuild from a model file; `dataset` carries its normalization and no
+        rows, since prediction needs none."""
+        model = cls.from_dataset(
+            from_config(doc["kernel"]), dataset, np.array(doc["inducing"], dtype=float),
+            float(doc["noise_variance"]), mean=float(doc["mean"]),
+        )
+        model._m_w = np.array(doc["variational"]["whitened_mean"], dtype=float)
+        model._c_pack = np.array(doc["variational"]["cov_factor_packed"], dtype=float)
         return model
 
     # -- parameter vector ---------------------------------------------------
@@ -267,6 +291,8 @@ class SVGPModel:
         """
         opts = opts or optim.OptimizerOptions()
         n = self.X.shape[0]
+        if n == 0:
+            raise InputError("cannot fit a model to zero observations")
         batch_size = min(opts.batch_size, n)
         full_batch = batch_size >= n
         rng = np.random.default_rng(opts.seed)
@@ -356,7 +382,7 @@ class SVGPModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, Xq, full_cov=False):
+    def predict(self, Xq):
         """Variational posterior at query rows; same contract as the dense model."""
         Xq = np.asarray(Xq, dtype=float)
         if Xq.ndim != 2 or Xq.shape[1] != self.X.shape[1]:
@@ -368,12 +394,6 @@ class SVGPModel:
         A = tri_solve(L, self.kernel.gram(self.Z, Xq))
         U = C.T @ A
         mean = self.mean + A.T @ self._m_w
-        sigma2 = self.noise_variance
-        if full_cov:
-            cov = self.kernel.gram(Xq) - A.T @ A + U.T @ U
-            cov = 0.5 * (cov + cov.T)
-            latent = np.maximum(np.diag(cov).copy(), 0.0)
-            return PosteriorPrediction(mean, latent, latent + sigma2, cov)
         latent = self.kernel.diag(Xq) - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
         latent = np.maximum(latent, 0.0)
-        return PosteriorPrediction(mean, latent, latent + sigma2, None)
+        return PosteriorPrediction(mean, latent, latent + self.noise_variance)

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import central_diff, dense_lml, dense_posterior, separable_gram
+from helpers import (
+    central_diff,
+    dense_lml,
+    dense_posterior,
+    filter_runtime,
+    filter_with_fences,
+    separable_gram,
+)
 from sensorgp import data as data_mod
 from sensorgp import evaluation as eval_mod
 from sensorgp import kernels, statespace
@@ -229,8 +236,8 @@ def test_statespace_matches_dense_and_scales_linearly():
     big = statespace.StateSpaceGP(
         spatial, temporal, np.array(rows), np.array(vals), noise_variance=0.25
     )
-    half = statespace.filter_runtime(big, T // 2, repeats=3)
-    full = statespace.filter_runtime(big, T, repeats=3)
+    half = filter_runtime(big, T // 2, repeats=3)
+    full = filter_runtime(big, T, repeats=3)
     ratio = full / half
 
     ok = single_worst < 1e-6 and grid_worst < 1e-5 and 1.5 <= ratio <= 2.5
@@ -268,7 +275,7 @@ def test_tukey_filter_worked_example():
     kept, report = data_mod.remove_outliers(readings, factor=1.5)
     fences = report.groups["s"]
     survivors = sorted(r.pm25 for r in kept)
-    again = data_mod.filter_with_fences(kept, report)
+    again = filter_with_fences(kept, report)
 
     ok = (
         fences.q1 == pytest.approx(2.0)

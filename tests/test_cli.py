@@ -188,12 +188,13 @@ def test_predict_with_weather_covariates_matches_training_rows(tmp_path, sensors
         encoding="utf-8",
     )
     loaded = model_io.load_model(model_path)
-    assert "winddir_sin" in loaded.columns
-    readings, ignored = data.load_query_csv(queries, loaded.columns)
+    dataset = loaded.model.dataset
+    assert "winddir_sin" in dataset.columns
+    readings, ignored = data.load_query_csv(queries, dataset.columns)
     assert ignored == []
     train_X = np.array(json.loads(model_path.read_text(encoding="utf-8"))["train"]["X"])
     # training rows are sorted by (hour, site) over sites a, b, c
-    np.testing.assert_array_equal(loaded.encode(readings)[0], train_X[3 * hour + 1])
+    np.testing.assert_array_equal(dataset.encode_inputs(readings)[0], train_X[3 * hour + 1])
 
     capsys.readouterr()
     assert predict(model_path, queries) == 0

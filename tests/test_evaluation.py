@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sensorgp import evaluation as ev
+from sensorgp import linalg
 from sensorgp.data import SensorReading
 from sensorgp.errors import ConfigError, InputError, ProtocolError
 
@@ -154,6 +155,32 @@ def test_nowcast_parallelism_does_not_change_results():
     )
     assert r1.per_site == r4.per_site
     assert r1.avg_rmse == r4.avg_rmse
+
+
+def test_nowcast_folds_run_on_one_blas_thread(monkeypatch):
+    # two fake OpenBLAS libraries stand in for numpy's and scipy's
+    threads = {"numpy": 2, "scipy": 3}
+    controls = [
+        linalg._ThreadControl(
+            name, lambda name=name: threads[name],
+            lambda n, name=name: threads.__setitem__(name, n),
+        )
+        for name in threads
+    ]
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: controls)
+    seen = []
+    fit_and_predict = ev._fit_and_predict
+
+    def recording(*args):
+        seen.append(dict(threads))
+        return fit_and_predict(*args)
+
+    monkeypatch.setattr(ev, "_fit_and_predict", recording)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
+    report = ev.nowcast_loo(two_constant_sites(), config)
+    assert set(report.per_site) == {"a", "b"}
+    assert seen == [{"numpy": 1, "scipy": 1}] * 2
+    assert threads == {"numpy": 2, "scipy": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -263,11 +263,20 @@ def test_diag_and_grads_consistent():
 # gradients with respect to inputs
 
 
-def test_grad_x_finite_difference():
+@pytest.mark.parametrize(
+    "make_kernel",
+    [
+        random_tree,
+        lambda rng: kernels.from_config({"product": [{"se": {}}]})
+        + kernels.SquaredExponential(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+    ],
+    ids=["random-tree", "one-factor-product"],
+)
+def test_grad_x_finite_difference(make_kernel):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(4, 3))
     Z = rng.normal(size=(5, 3))
-    k = random_tree(rng)
+    k = make_kernel(rng)
     G = k.grad_x(X, Z)
     assert G.shape == (4, 5, 3)
     h = 1e-6

@@ -6,7 +6,7 @@ from sensorgp import kernels, statespace
 from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel
 from sensorgp.optim import OptimizerOptions
-from helpers import separable_gram
+from helpers import filter_runtime, separable_gram, temporal_sde
 
 
 def gp_for_series(temporal, t, y, noise, mean=0.0):
@@ -38,7 +38,7 @@ def gp_for_series(temporal, t, y, noise, mean=0.0):
 
 def test_matern12_closed_form():
     k = statespace.temporal_kernel("matern12", variance=2.0, lengthscale=1.0)
-    A, Q = k.discretize(1.0)
+    A, Q = k.transition(1.0)
     assert A[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-14)
     assert Q[0, 0] == pytest.approx(2.0 * (1.0 - np.exp(-2.0)), abs=1e-13)
 
@@ -46,7 +46,7 @@ def test_matern12_closed_form():
 def test_matern32_closed_form_unit():
     k = statespace.temporal_kernel("matern32", variance=1.0, lengthscale=1.0)
     lam = np.sqrt(3.0)
-    A, Q = k.discretize(1.0)
+    A, Q = k.transition(1.0)
     expected_A = np.exp(-lam) * np.array([[1.0 + lam, 1.0], [-lam * lam, 1.0 - lam]])
     np.testing.assert_allclose(A, expected_A, atol=1e-12)
     Pinf = k.stationary_cov()
@@ -56,16 +56,16 @@ def test_matern32_closed_form_unit():
 @pytest.mark.parametrize("name", ["matern12", "matern32"])
 def test_transition_matches_matrix_exponential(name):
     k = statespace.temporal_kernel(name, variance=1.4, lengthscale=2.3)
-    F = k.feedback()
+    F = temporal_sde(k)[0]
     for dt in (0.3, 1.0, 7.7):
-        A, _ = k.discretize(dt)
+        A, _ = k.transition(dt)
         np.testing.assert_allclose(A, expm(F * dt), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["matern12", "matern32"])
 def test_large_gap_forgets_the_past(name):
     k = statespace.temporal_kernel(name, variance=1.0, lengthscale=0.5)
-    A, Q = k.discretize(20.0 * k.lengthscale)
+    A, Q = k.transition(20.0 * k.lengthscale)
     assert np.max(np.abs(A)) < 1e-8
     np.testing.assert_allclose(Q, k.stationary_cov(), atol=1e-8)
 
@@ -74,7 +74,7 @@ def test_large_gap_forgets_the_past(name):
 def test_process_noise_psd(name):
     k = statespace.temporal_kernel(name, variance=0.8, lengthscale=1.7)
     for dt in (0.01, 0.5, 3.0, 40.0):
-        _, Q = k.discretize(dt)
+        _, Q = k.transition(dt)
         assert np.linalg.eigvalsh(Q).min() >= -1e-10
 
 
@@ -82,8 +82,8 @@ def test_process_noise_psd(name):
 def test_lyapunov_equilibrium(name):
     # F Pinf + Pinf F^T + L q L^T = 0 at stationarity
     k = statespace.temporal_kernel(name, variance=1.2, lengthscale=0.9)
-    F, Pinf = k.feedback(), k.stationary_cov()
-    L, q = k.diffusion()
+    F, L, q, _ = temporal_sde(k)
+    Pinf = k.stationary_cov()
     resid = F @ Pinf + Pinf @ F.T + q * (L @ L.T)
     assert np.max(np.abs(resid)) < 1e-10
 
@@ -91,18 +91,11 @@ def test_lyapunov_equilibrium(name):
 @pytest.mark.parametrize("name", ["matern12", "matern32"])
 def test_emission_recovers_covariance_function(name):
     k = statespace.temporal_kernel(name, variance=1.5, lengthscale=1.3)
-    H, F, Pinf = k.emission(), k.feedback(), k.stationary_cov()
+    F, _, _, H = temporal_sde(k)
+    Pinf = k.stationary_cov()
     for tau in (0.0, 0.4, 2.0, 5.0):
         implied = (H @ expm(F * tau) @ Pinf @ H.T).item()
         assert implied == pytest.approx(float(k.covariance(tau)), abs=1e-10)
-
-
-def test_discretize_rejects_nonpositive_gap():
-    k = statespace.temporal_kernel("matern12")
-    with pytest.raises(InputError):
-        k.discretize(0.0)
-    with pytest.raises(InputError):
-        k.discretize(-1.0)
 
 
 def test_unknown_family_rejected():
@@ -260,7 +253,7 @@ def test_zero_observations_zero_nll():
     m = statespace.StateSpaceGP(
         kernels.SquaredExponential(), "matern12", X, y, noise_variance=0.1
     )
-    assert m.negative_log_likelihood() == pytest.approx(0.0, abs=1e-12)
+    assert -m.log_marginal_likelihood() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_all_missing_site_reverts_to_prior():
@@ -294,13 +287,6 @@ def test_smoothing_never_inflates_variance():
     for k, (ms, Ps) in moments.items():
         Pf = filtered[k][1][np.ix_(pos, pos)]
         assert np.all(np.diag(Ps) <= np.diag(Pf) + 1e-10)
-
-
-def test_predict_full_cov_unsupported():
-    X, y, *_ = separable_problem(S=2, T=5, seed=7)
-    m = statespace.StateSpaceGP(kernels.SquaredExponential(), "matern12", X, y)
-    with pytest.raises(InputError):
-        m.predict(X[:2], full_cov=True)
 
 
 def test_param_names_and_roundtrip():
@@ -356,4 +342,4 @@ def test_temporal_lengthscale_recovery():
 def test_filter_runtime_returns_positive_seconds():
     X, y, *_ = separable_problem(S=2, T=10, seed=10)
     m = statespace.StateSpaceGP(kernels.SquaredExponential(), "matern12", X, y)
-    assert statespace.filter_runtime(m, 50) > 0.0
+    assert filter_runtime(m, 50) > 0.0

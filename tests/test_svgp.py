@@ -6,7 +6,7 @@ from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel
 from sensorgp.optim import OptimizerOptions
 from sensorgp.svgp import SVGPModel, init_inducing
-from helpers import central_diff
+from helpers import central_diff, svgp_posterior_cov
 
 
 def make_problem(seed=0, n=40, d=2, noise=0.1):
@@ -248,9 +248,10 @@ def test_predict_full_cov():
     m = SVGPModel(k.copy(), X, y, inducing=6, seed=6)
     m.set_optimal_variational()
     Xq = np.random.default_rng(18).uniform(-2, 2, size=(5, 2))
-    p = m.predict(Xq, full_cov=True)
-    np.testing.assert_allclose(np.diag(p.covariance), p.latent_variance, atol=1e-10)
-    assert np.linalg.eigvalsh(p.covariance).min() >= -1e-8
+    p = m.predict(Xq)
+    cov = svgp_posterior_cov(m, Xq)
+    np.testing.assert_allclose(np.diag(cov), p.latent_variance, atol=1e-10)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-8
 
 
 def test_constructor_validation():
@@ -259,6 +260,16 @@ def test_constructor_validation():
         SVGPModel(kernels.SquaredExponential(), X, np.zeros(4), inducing=3)
     with pytest.raises(InputError):
         SVGPModel(kernels.SquaredExponential(), X, np.zeros(5), inducing=0)
+
+
+def test_fit_rejects_zero_observations():
+    # a model loaded from a file has inducing locations but no training rows
+    m = SVGPModel(
+        kernels.SquaredExponential(), np.zeros((0, 2)), np.zeros(0),
+        inducing=np.zeros((3, 2)), mean=0.0,
+    )
+    with pytest.raises(InputError, match="zero observations"):
+        m.fit()
 
 
 @pytest.mark.slow
