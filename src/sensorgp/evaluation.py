@@ -306,16 +306,18 @@ def forecast_holdout(readings, config):
     start = time.perf_counter()
     site_reps = {site: [] for site in site_order}
     pooled = []
-    for seed in config.seeds:
-        all_test = [r for site in site_order for r in test_by_site[site]]
-        mean = _fit_and_predict(train, all_test, config, seed)
-        truth = np.array([r.pm25 for r in all_test])
-        pooled.append(rmse(mean, truth))
-        at = 0
-        for site in site_order:
-            k = len(test_by_site[site])
-            site_reps[site].append(rmse(mean[at:at + k], truth[at:at + k]))
-            at += k
+    # serial fits still lose time when numpy's and scipy's BLAS pools contend
+    with linalg.single_threaded_blas():
+        for seed in config.seeds:
+            all_test = [r for site in site_order for r in test_by_site[site]]
+            mean = _fit_and_predict(train, all_test, config, seed)
+            truth = np.array([r.pm25 for r in all_test])
+            pooled.append(rmse(mean, truth))
+            at = 0
+            for site in site_order:
+                k = len(test_by_site[site])
+                site_reps[site].append(rmse(mean[at:at + k], truth[at:at + k]))
+                at += k
     seconds = {"all": time.perf_counter() - start}
     return _finalize("forecast", config, site_reps, pooled, seconds, omitted)
 

@@ -27,6 +27,17 @@ class PosteriorPrediction:
     observed_variance: np.ndarray    # latent + noise variance
 
 
+def query_matrix(Xq, n_cols):
+    """Query rows as an (n, n_cols) float matrix; every backend's `predict`
+    runs this one check, so a NaN or infinite input fails by name."""
+    Xq = _as_matrix(Xq)
+    if Xq.shape[1] != n_cols:
+        raise InputError(f"query rows must have {n_cols} columns, got shape {Xq.shape}")
+    if not np.isfinite(Xq).all():
+        raise InputError("query rows must be finite (got NaN or infinity)")
+    return Xq
+
+
 class GPModel:
     """GP regression model with a constant learned mean and Gaussian noise."""
 
@@ -154,11 +165,7 @@ class GPModel:
         return FitResult(params, value, iters, converged, trace)
 
     def predict(self, Xq):
-        Xq = _as_matrix(Xq)
-        if Xq.shape[1] != self.X.shape[1]:
-            raise InputError(
-                f"query dimensionality {Xq.shape[1]} != training {self.X.shape[1]}"
-            )
+        Xq = query_matrix(Xq, self.X.shape[1])
         L, alpha, _, _ = self._factor()
         K_q = self.kernel.gram(self.X, Xq)
         mean = self.mean + K_q.T @ alpha

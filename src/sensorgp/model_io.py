@@ -105,4 +105,7 @@ def load_model(path):
     cls = BACKENDS.get(doc.get("backend"))
     if cls is None:
         raise FormatError(f"{path}: unknown backend {doc.get('backend')!r}")
-    return LoadedModel(cls.from_doc(doc, _dataset_without_rows(doc["normalization"])))
+    try:
+        return LoadedModel(cls.from_doc(doc, _dataset_without_rows(doc["normalization"])))
+    except KeyError as err:
+        raise FormatError(f"{path}: missing key {err.args[0]!r}") from None

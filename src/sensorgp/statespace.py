@@ -19,23 +19,44 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from . import optim
 from .errors import InputError
-from .exact_gp import LOG_2PI, PosteriorPrediction
+from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
 from .linalg import chol_solve, chol_with_jitter
 
-# relative step of the central-difference likelihood gradient in `fit`
-FD_STEP = 1e-5
+
+def _sandwich(L, P, R, S, q):
+    """(I (x) L) P and (I (x) L) P (I (x) R)^T for P of shape (..., S q, S q),
+    without forming the krons: batched q x q products on the site blocks."""
+    lead, n = P.shape[:-2], S * q
+    half = (L @ P.reshape(lead + (S, q, n))).reshape(P.shape)
+    full = (half.reshape(lead + (n, S, q)) @ R.T).reshape(P.shape)
+    return half, full
+
+
+def _kron_tangents(Ks, dKs, Pt, dPt):
+    """Tangents of Ks (x) Pt: dKs_i (x) Pt per spatial parameter, then
+    Ks (x) dPt_j per temporal one, as one (len(dKs) + 2, n, n) array."""
+    return np.stack([np.kron(dK, Pt) for dK in dKs] + [np.kron(Ks, d) for d in dPt])
+
+
+def _lower_solve(L, B):
+    """L^-1 B for lower-triangular L, in one LAPACK call (L^T is L's Fortran view)."""
+    X, _ = dtrtrs(L.T, B, lower=0, trans=1)
+    return X
 
 
 class TemporalKernel:
     """Markovian stationary kernel on the time axis.
 
     Subclasses provide the state dimension, the stationary state
-    covariance, the discrete transition over a gap dt, and the plain
-    covariance function; the state's first component is the function value.
+    covariance and the discrete transition over a gap dt, each with its
+    derivatives with respect to (log variance, log lengthscale), and the
+    plain covariance function; the state's first component is the function
+    value.
     """
 
     state_dim = None
@@ -63,6 +84,13 @@ class TemporalKernel:
     def param_names(self):
         return ["time.log_variance", "time.log_lengthscale"]
 
+    def stationary_cov(self):
+        return self.stationary_cov_and_grads()[0]
+
+    def transition(self, dt):
+        """State transition A(dt) and process noise Q(dt) over a gap dt."""
+        return self.transition_and_grads(dt)[:2]
+
 
 class Matern12(TemporalKernel):
     """Exponential covariance; its sample paths are an OU process."""
@@ -70,14 +98,20 @@ class Matern12(TemporalKernel):
     state_dim = 1
     name = "matern12"
 
-    def stationary_cov(self):
-        return np.array([[self.variance]])
+    def stationary_cov_and_grads(self):
+        """P_inf and its (2, 1, 1) derivatives; P_inf does not depend on the lengthscale."""
+        Pinf = np.array([[self.variance]])
+        return Pinf, np.stack([Pinf, np.zeros((1, 1))])
 
-    def transition(self, dt):
+    def transition_and_grads(self, dt):
+        """A, Q and their (2, 1, 1) derivatives; A does not depend on the variance."""
         a = math.exp(-dt / self.lengthscale)
         A = np.array([[a]])
         Q = np.array([[self.variance * (1.0 - a * a)]])
-        return A, Q
+        da = a * dt / self.lengthscale           # d a / d log lengthscale
+        dA = np.array([[[0.0]], [[da]]])
+        dQ = np.stack([Q, [[-2.0 * self.variance * a * da]]])
+        return A, Q, dA, dQ
 
     def covariance(self, tau):
         tau = np.abs(np.asarray(tau, dtype=float))
@@ -93,19 +127,29 @@ class Matern32(TemporalKernel):
     def _lam(self):
         return math.sqrt(3.0) / self.lengthscale
 
-    def stationary_cov(self):
+    def stationary_cov_and_grads(self):
+        """P_inf and its (2, 2, 2) derivatives; d lam / d log lengthscale = -lam."""
         lam = self._lam()
-        return np.diag([self.variance, self.variance * lam * lam])
+        Pinf = np.diag([self.variance, self.variance * lam * lam])
+        dPinf_ell = np.diag([0.0, -2.0 * self.variance * lam * lam])
+        return Pinf, np.stack([Pinf, dPinf_ell])
 
-    def transition(self, dt):
+    def transition_and_grads(self, dt):
+        """A, Q and their (2, 2, 2) derivatives; Q = P_inf - A P_inf A^T."""
         lam = self._lam()
         e = math.exp(-lam * dt)
         A = e * np.array(
             [[1.0 + lam * dt, dt], [-lam * lam * dt, 1.0 - lam * dt]]
         )
-        Pinf = self.stationary_cov()
+        Pinf, dPinf = self.stationary_cov_and_grads()
         Q = Pinf - A @ Pinf @ A.T
-        return A, Q
+        # d A / d lam, then the chain rule through lam = sqrt(3) / lengthscale
+        dA_dlam = -dt * A + e * np.array([[dt, 0.0], [-2.0 * lam * dt, -dt]])
+        dA_ell = -lam * dA_dlam
+        half = dA_ell @ Pinf @ A.T
+        dQ_ell = dPinf[1] - A @ dPinf[1] @ A.T - half - half.T
+        # Q is linear in the variance, and A does not depend on it
+        return A, Q, np.stack([np.zeros((2, 2)), dA_ell]), np.stack([Q, dQ_ell])
 
     def covariance(self, tau):
         tau = np.abs(np.asarray(tau, dtype=float))
@@ -259,64 +303,120 @@ class StateSpaceGP:
         without forming the kron."""
         q = self.temporal.state_dim
         S = m.size // q
-        m4 = m.reshape(S, q)
-        m_new = (m4 @ A.T).ravel()
-        P4 = P.reshape(S, q, S, q)
-        # fixed contraction order; einsum's path search costs more than the
-        # contraction itself at these sizes
-        half = np.einsum("ab,ibjc->iajc", A, P4, optimize=False)
-        P_new = np.einsum("iajc,dc->iajd", half, A, optimize=False)
-        return m_new, P_new.reshape(S * q, S * q), half.reshape(S * q, S * q)
+        m_new = (m.reshape(S, q) @ A.T).ravel()
+        half, P_new = _sandwich(A, P, A, S, q)
+        return m_new, P_new, half
 
-    def _filter(self, times, values, collect=False):
-        """Forward pass; returns log-likelihood and, when collecting, the
-        per-step filtered moments and gaps needed by the smoother."""
+    def _filter(self, times, values, collect=False, grad=False):
+        """Forward pass; returns (loglik, filtered, steps).
+
+        When collecting, `filtered` holds the per-step filtered moments and
+        `steps` the (A, Q) pair each prediction used, one object per distinct
+        gap, which the smoother reuses; both are None otherwise.
+
+        With `grad`, the same recursion also carries the tangents dm/dθ and
+        dP/dθ, one row per parameter, through every predict and update step,
+        and a fourth item is returned: the exact gradient of the
+        log-likelihood in `log_params` order (Sarkka 2013, ch. 12).
+        """
         S = self.grid.coords.shape[0]
         q = self.temporal.state_dim
-        Ks = self.spatial_kernel.gram(self.grid.coords)
-        Pinf = self.temporal.stationary_cov()
+        n = S * q
         pos = self._position_index(S)
         sigma2 = self.noise_variance
+        if grad:
+            Ks, dKs = self.spatial_kernel.gram_and_grads(self.grid.coords)
+            Pinf, dPinf = self.temporal.stationary_cov_and_grads()
+            # tangent rows: spatial params, time variance, time lengthscale,
+            # noise, mean; the first k + 2 enter through Ks (x) P_inf and Ks (x) Q
+            k = len(dKs)
+            ell, noise, mean = k + 1, k + 2, k + 3
+            dm = np.zeros((k + 4, n))
+            dP = np.zeros((k + 4, n, n))
+            dP[:k + 2] = _kron_tangents(Ks, dKs, Pinf, dPinf)
+            gradient = np.zeros(k + 4)
+        else:
+            Ks = self.spatial_kernel.gram(self.grid.coords)
+            Pinf = self.temporal.stationary_cov()
 
-        m = np.zeros(S * q)
+        m = np.zeros(n)
         P = np.kron(Ks, Pinf)
         loglik = 0.0
         transitions = {}
         filtered = [] if collect else None
-        gaps = [] if collect else None
+        steps = [] if collect else None
 
-        for k in range(times.size):
-            if k > 0:
-                dt = float(times[k] - times[k - 1])
+        for t in range(times.size):
+            if t > 0:
+                dt = float(times[t] - times[t - 1])
                 key = round(dt, 12)
                 if key not in transitions:
-                    A, Qt = self.temporal.transition(dt)
-                    transitions[key] = (A, np.kron(Ks, Qt))
-                A, Q = transitions[key]
+                    if grad:
+                        A, Qt, dA, dQt = self.temporal.transition_and_grads(dt)
+                        transitions[key] = (
+                            A, np.kron(Ks, Qt), dA[1], _kron_tangents(Ks, dKs, Qt, dQt)
+                        )
+                    else:
+                        A, Qt = self.temporal.transition(dt)
+                        transitions[key] = (A, np.kron(Ks, Qt))
+                entry = transitions[key]
+                A, Q = entry[:2]
+                if grad:
+                    dA, dQ = entry[2:]
+                    # the lengthscale moves A itself: d(A m) and d(A P A^T)
+                    # gain dA m and dA P A^T + its transpose
+                    dm_ell = (m.reshape(S, q) @ dA.T).ravel()
+                    cross = _sandwich(dA, P, A, S, q)[1]
+                    dm = (dm.reshape(-1, S, q) @ A.T).reshape(-1, n)
+                    dm[ell] += dm_ell
+                    dP = _sandwich(A, dP, A, S, q)[1]
+                    dP[ell] += cross + cross.T
+                    dP[:k + 2] += dQ
                 m, P, _ = self._apply_transition(A, m, P)
                 P = P + Q
                 if collect:
-                    gaps.append(dt)
+                    steps.append((A, Q))
 
-            row = values[k]
+            row = values[t]
             obs = np.flatnonzero(~np.isnan(row))
             if obs.size:
                 rows = pos[obs]
                 Smat = P[np.ix_(rows, rows)] + sigma2 * np.eye(obs.size)
                 Ls, _ = chol_with_jitter(Smat)
                 e = row[obs] - self.mean - m[rows]
-                alpha = chol_solve(Ls, e)
-                loglik += -0.5 * (e @ alpha) - np.sum(np.log(np.diag(Ls))) \
+                # one solve: [W | v] = Ls^-1 [H P | e]
+                Wv = _lower_solve(Ls, np.column_stack([P[rows], e]))
+                W, v = Wv[:, :n], Wv[:, n]
+                loglik += -0.5 * (v @ v) - np.sum(np.log(np.diag(Ls))) \
                     - 0.5 * obs.size * LOG_2PI
-                PH = P[:, rows]
-                K = chol_solve(Ls, PH.T).T
-                m = m + K @ e
-                P = P - K @ PH.T
+                if grad:
+                    # with G = S^-1 H P and alpha = S^-1 e, per parameter:
+                    #   d loglik = -alpha.de + alpha.dS.alpha / 2 - tr(S^-1 dS) / 2
+                    #   dm+ = dm + dP H^T alpha + G^T (de - dS alpha)
+                    #   dP+ = dP - M - M^T, with M = G^T (H dP - dS G / 2)
+                    Linv, _ = dtrtri(Ls, lower=1)
+                    G = Linv.T @ W                    # S^-1 H P, the gain's transpose
+                    alpha = Linv.T @ v                # S^-1 e
+                    B = dP[:, rows]                   # H dP
+                    dS = B[:, :, rows]
+                    dS[noise] += sigma2 * np.eye(obs.size)
+                    de = -dm[:, rows]
+                    de[mean] -= 1.0
+                    dS_alpha = dS @ alpha
+                    gradient += -de @ alpha + 0.5 * (dS_alpha @ alpha) \
+                        - 0.5 * np.einsum("pab,ab->p", dS, Linv.T @ Linv)
+                    dm = dm + alpha @ B + (de - dS_alpha) @ G
+                    M = G.T @ (B - 0.5 * dS @ G)
+                    dP = dP - M - M.transpose(0, 2, 1)
+                m = m + W.T @ v
+                P = P - W.T @ W
                 P = 0.5 * (P + P.T)
             if collect:
                 filtered.append((m.copy(), P.copy()))
 
-        return float(loglik), filtered, gaps
+        if grad:
+            return float(loglik), filtered, steps, gradient
+        return float(loglik), filtered, steps
 
     def log_marginal_likelihood(self):
         return self._filter(self.grid.times, self.grid.values)[0]
@@ -326,29 +426,21 @@ class StateSpaceGP:
 
         Runs the filter forward then the RTS recursion backward, keeping
         only the position block (value component of every site's state) at
-        the steps listed in `wanted`.
+        the steps listed in `wanted`. The backward pass inverts the
+        filter's own prediction steps: it reuses their (A, Q) pairs.
         """
-        _, filtered, gaps = self._filter(times, values, collect=True)
+        _, filtered, steps = self._filter(times, values, collect=True)
         S = self.grid.coords.shape[0]
         pos = self._position_index(S)
         wanted = set(int(w) for w in wanted)
         out = {}
-        Ks = self.spatial_kernel.gram(self.grid.coords)
-        # not the filter's cache: that one fills in forward order, and gaps
-        # rounding to one key differ in their last bits, so sharing it would
-        # move the smoothed moments in the last digits
-        transitions = {}
 
         m_s, P_s = filtered[-1]
         if (times.size - 1) in wanted:
             out[times.size - 1] = (m_s[pos].copy(), P_s[np.ix_(pos, pos)].copy())
         for k in range(times.size - 2, -1, -1):
             m_f, P_f = filtered[k]
-            key = round(gaps[k], 12)
-            if key not in transitions:
-                A_k, Qt_k = self.temporal.transition(gaps[k])
-                transitions[key] = (A_k, np.kron(Ks, Qt_k))
-            A, Q = transitions[key]
+            A, Q = steps[k]
             m_pred, P_pred, AP = self._apply_transition(A, m_f, P_f)
             P_pred = P_pred + Q
             Lp, _ = chol_with_jitter(P_pred)
@@ -364,28 +456,13 @@ class StateSpaceGP:
     # -- fitting ------------------------------------------------------------
 
     def fit(self, opts=None):
-        """Maximize the filter likelihood with central-difference gradients.
-
-        The parameter count is tiny (two kernels, noise, mean), so finite
-        differences cost a handful of filter sweeps per iteration.
-        """
+        """Maximize the filter likelihood; each step is one filter pass that
+        returns the value and its exact gradient."""
         opts = opts or optim.OptimizerOptions()
 
         def value_and_grad(theta):
             self.set_log_params(theta)
-            value = self.log_marginal_likelihood()
-            grad = np.empty_like(theta)
-            for i in range(theta.size):
-                h = FD_STEP * max(1.0, abs(theta[i]))
-                probe = theta.copy()
-                probe[i] = theta[i] + h
-                self.set_log_params(probe)
-                hi = self.log_marginal_likelihood()
-                probe[i] = theta[i] - h
-                self.set_log_params(probe)
-                lo = self.log_marginal_likelihood()
-                grad[i] = (hi - lo) / (2.0 * h)
-            self.set_log_params(theta)
+            value, _, _, grad = self._filter(self.grid.times, self.grid.values, grad=True)
             return value, grad
 
         best_x, value, iters, converged, trace = optim.maximize(
@@ -405,42 +482,41 @@ class StateSpaceGP:
         not on the training grid are conditioned on the smoothed on-grid
         values; that conditioning is exact for this covariance.
         """
-        Xq = np.asarray(Xq, dtype=float)
-        if Xq.ndim != 2 or Xq.shape[1] != 3:
-            raise InputError("query rows must be (lat, lon, time) triples")
+        Xq = query_matrix(Xq, 3)
         qc = np.round(Xq[:, :2], 12)
         qt = np.round(Xq[:, 2], 12)
+        coords = self.grid.coords
 
         base_times = np.round(self.grid.times, 12)
         all_times = np.unique(np.concatenate([base_times, qt]))
-        values = np.full((all_times.size, self.grid.coords.shape[0]), np.nan)
+        values = np.full((all_times.size, coords.shape[0]), np.nan)
         base_rows = np.searchsorted(all_times, base_times)
         values[base_rows] = self.grid.values
         query_rows = np.searchsorted(all_times, qt)
 
         moments = self._smoothed_site_moments(all_times, values, set(query_rows))
 
-        kt0 = float(self.temporal.covariance(0.0))
-        Ks = self.spatial_kernel.gram(self.grid.coords)
-        Ls, _ = chol_with_jitter(kt0 * Ks)
+        # each query is a weighting `a` of the smoothed site values: one-hot
+        # for an on-grid site, the spatial GP conditional weights off the grid
+        d2 = np.sum((qc[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+        nearest = np.argmin(d2, axis=1)
+        on = d2[np.arange(qc.shape[0]), nearest] < 1e-18
+        a = np.zeros(d2.shape)
+        a[on, nearest[on]] = 1.0
+        latent = np.zeros(qc.shape[0])   # the off-grid residual variance, then + a F_cov a
+        off = ~on
+        if off.any():
+            kt0 = float(self.temporal.covariance(0.0))
+            Ls, _ = chol_with_jitter(kt0 * self.spatial_kernel.gram(coords))
+            c_q = kt0 * self.spatial_kernel.gram(qc[off], coords)
+            a[off] = chol_solve(Ls, c_q.T).T
+            c_qq = kt0 * self.spatial_kernel.diag(qc[off])
+            latent[off] = np.maximum(c_qq - np.sum(c_q * a[off], axis=1), 0.0)
 
-        mean = np.empty(Xq.shape[0])
-        latent = np.empty(Xq.shape[0])
-        for i in range(Xq.shape[0]):
-            F_mean, F_cov = moments[int(query_rows[i])]
-            d2 = np.sum((self.grid.coords - qc[i]) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] < 1e-18:
-                mean[i] = self.mean + F_mean[j]
-                latent[i] = F_cov[j, j]
-            else:
-                c_q = kt0 * self.spatial_kernel.gram(
-                    qc[i][None, :], self.grid.coords
-                ).ravel()
-                c_qq = kt0 * float(self.spatial_kernel.diag(qc[i][None, :])[0])
-                a = chol_solve(Ls, c_q)
-                residual_var = max(c_qq - c_q @ a, 0.0)
-                mean[i] = self.mean + a @ F_mean
-                latent[i] = residual_var + a @ F_cov @ a
+        F_mean = np.array([moments[k][0] for k in query_rows])
+        mean = self.mean + np.sum(a * F_mean, axis=1)
+        for k in np.unique(query_rows):
+            at = query_rows == k
+            latent[at] += np.einsum("qi,ij,qj->q", a[at], moments[k][1], a[at])
         latent = np.maximum(latent, 0.0)
         return PosteriorPrediction(mean, latent, latent + self.noise_variance)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import optim
 from .errors import InputError, NumericalError
-from .exact_gp import LOG_2PI, PosteriorPrediction
+from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
 from .linalg import chol_rev, chol_with_jitter, tri_solve
 
@@ -384,11 +384,7 @@ class SVGPModel:
 
     def predict(self, Xq):
         """Variational posterior at query rows; same contract as the dense model."""
-        Xq = np.asarray(Xq, dtype=float)
-        if Xq.ndim != 2 or Xq.shape[1] != self.X.shape[1]:
-            raise InputError(
-                f"query rows must have {self.X.shape[1]} columns, got shape {Xq.shape}"
-            )
+        Xq = query_matrix(Xq, self.X.shape[1])
         L, _ = self._chol_zz()
         C = self.variational_cov_factor()
         A = tri_solve(L, self.kernel.gram(self.Z, Xq))

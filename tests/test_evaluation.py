@@ -157,8 +157,9 @@ def test_nowcast_parallelism_does_not_change_results():
     assert r1.avg_rmse == r4.avg_rmse
 
 
-def test_nowcast_folds_run_on_one_blas_thread(monkeypatch):
-    # two fake OpenBLAS libraries stand in for numpy's and scipy's
+@pytest.fixture()
+def fake_blas(monkeypatch):
+    """Two fake OpenBLAS thread controls, standing in for numpy's and scipy's."""
     threads = {"numpy": 2, "scipy": 3}
     controls = [
         linalg._ThreadControl(
@@ -168,6 +169,11 @@ def test_nowcast_folds_run_on_one_blas_thread(monkeypatch):
         for name in threads
     ]
     monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: controls)
+    return threads
+
+
+def record_threads_per_fit(monkeypatch, threads):
+    """The thread counts every `_fit_and_predict` call saw."""
     seen = []
     fit_and_predict = ev._fit_and_predict
 
@@ -176,11 +182,25 @@ def test_nowcast_folds_run_on_one_blas_thread(monkeypatch):
         return fit_and_predict(*args)
 
     monkeypatch.setattr(ev, "_fit_and_predict", recording)
+    return seen
+
+
+def test_nowcast_folds_run_on_one_blas_thread(monkeypatch, fake_blas):
+    seen = record_threads_per_fit(monkeypatch, fake_blas)
     config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
     report = ev.nowcast_loo(two_constant_sites(), config)
     assert set(report.per_site) == {"a", "b"}
     assert seen == [{"numpy": 1, "scipy": 1}] * 2
-    assert threads == {"numpy": 2, "scipy": 3}
+    assert fake_blas == {"numpy": 2, "scipy": 3}
+
+
+def test_forecast_fits_run_on_one_blas_thread(monkeypatch, fake_blas):
+    seen = record_threads_per_fit(monkeypatch, fake_blas)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2)})
+    report = ev.forecast_holdout(two_constant_sites(), config)
+    assert set(report.per_site) == {"a", "b"}
+    assert seen == [{"numpy": 1, "scipy": 1}] * 2
+    assert fake_blas == {"numpy": 2, "scipy": 3}
 
 
 # ---------------------------------------------------------------------------

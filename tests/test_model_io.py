@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,22 @@ def test_loaded_model_saves_the_same_file(tmp_path, corpus, backend):
     again = model_io.load_model(second).predict_readings(readings[:10])
     for a, b in zip(loaded.predict_readings(readings[:10]), again):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_non_finite_queries_rejected(tmp_path, corpus, backend, bad):
+    readings, ds = corpus
+    model = build(backend, ds)
+    Xq = ds.encode_inputs(readings[:3])
+    Xq[1, 0] = bad
+    with pytest.raises(InputError, match="finite"):
+        model.predict(Xq)
+    path = tmp_path / "model.json"
+    model_io.save_model(path, model)
+    queries = [readings[0], replace(readings[1], latitude=bad)]
+    with pytest.raises(InputError, match="finite"):
+        model_io.load_model(path).predict_readings(queries)
 
 
 def test_file_shape_and_fit_info(tmp_path, corpus):

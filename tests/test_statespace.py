@@ -6,7 +6,7 @@ from sensorgp import kernels, statespace
 from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel
 from sensorgp.optim import OptimizerOptions
-from helpers import filter_runtime, separable_gram, temporal_sde
+from helpers import central_diff, filter_runtime, max_rel_err, separable_gram, temporal_sde
 
 
 def gp_for_series(temporal, t, y, noise, mean=0.0):
@@ -96,6 +96,31 @@ def test_emission_recovers_covariance_function(name):
     for tau in (0.0, 0.4, 2.0, 5.0):
         implied = (H @ expm(F * tau) @ Pinf @ H.T).item()
         assert implied == pytest.approx(float(k.covariance(tau)), abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["matern12", "matern32"])
+def test_transition_and_stationary_grads_match_central_differences(name):
+    k = statespace.temporal_kernel(name, variance=1.4, lengthscale=2.3)
+    theta = k.log_params()
+    for dt in (0.3, 1.0, 7.7):
+        def entries(th):
+            k.set_log_params(th)
+            A, Q, _, _ = k.transition_and_grads(dt)
+            return np.concatenate([A.ravel(), Q.ravel(), k.stationary_cov().ravel()])
+
+        k.set_log_params(theta)
+        A, Q, dA, dQ = k.transition_and_grads(dt)
+        Pinf, dPinf = k.stationary_cov_and_grads()
+        np.testing.assert_array_equal(A, k.transition(dt)[0])
+        np.testing.assert_array_equal(Q, k.transition(dt)[1])
+        np.testing.assert_array_equal(Pinf, k.stationary_cov())
+        analytic = np.concatenate([d.reshape(2, -1) for d in (dA, dQ, dPinf)], axis=1)
+        numeric = np.array([
+            central_diff(lambda th, j=j: entries(th)[j], theta)
+            for j in range(analytic.shape[1])
+        ]).T
+        k.set_log_params(theta)
+        assert max_rel_err(analytic, numeric) < 1e-6
 
 
 def test_unknown_family_rejected():
@@ -302,6 +327,68 @@ def test_param_names_and_roundtrip():
 
 # ---------------------------------------------------------------------------
 # fitting
+
+
+def fit_objective(model, monkeypatch):
+    """The value-and-gradient function `fit` hands to the optimizer."""
+    captured = []
+
+    def capture(value_and_grad, x0, opts):
+        captured.append(value_and_grad)
+        return x0, 0.0, 0, False, []
+
+    monkeypatch.setattr(statespace.optim, "maximize", capture)
+    model.fit()
+    return captured[0]
+
+
+@pytest.mark.parametrize("ard", [False, True], ids=["se", "ard-se"])
+@pytest.mark.parametrize("name", ["matern12", "matern32"])
+def test_fit_gradient_matches_central_differences(monkeypatch, name, ard):
+    # irregular gaps, missing cells, and with ARD three spatial parameters
+    X, y, *_ = separable_problem(S=4, T=30, seed=12, missing=0.3)
+    spatial = kernels.SquaredExponential(1.2, np.array([0.5, 0.9]) if ard else 0.6)
+    m = statespace.StateSpaceGP(
+        spatial, statespace.temporal_kernel(name, 1.1, 2.0), X, y,
+        noise_variance=0.3, mean=0.1,
+    )
+    theta = m.log_params()
+    value, grad = fit_objective(m, monkeypatch)(theta)
+
+    def lml(th):
+        m.set_log_params(th)
+        return m.log_marginal_likelihood()
+
+    assert value == lml(theta)
+    assert grad.size == theta.size == spatial.n_params + 4
+    assert max_rel_err(grad, central_diff(lml, theta)) < 1e-5
+
+
+def test_predict_builds_one_transition_per_distinct_gap(monkeypatch):
+    # cumulative sums of three step sizes: gaps that round to one key differ
+    # in their last bits, and filter and smoother must share one transition
+    rng = np.random.default_rng(13)
+    times = np.cumsum(rng.choice([0.1, 0.25, 1.0], size=40))
+    coords = rng.uniform(0.0, 1.0, size=(3, 2))
+    X = np.array([[*c, t] for t in times for c in coords])
+    y = rng.standard_normal(len(X))
+    m = statespace.StateSpaceGP(
+        kernels.SquaredExponential(1.0, 0.7), "matern32", X, y, noise_variance=0.2
+    )
+    calls = []
+    transition = m.temporal.transition
+
+    def counted(dt):
+        calls.append(round(dt, 12))
+        return transition(dt)
+
+    monkeypatch.setattr(m.temporal, "transition", counted)
+    Xq = np.array([[*coords[0], times[5] + 0.05], [0.5, 0.5, times[-1] + 0.1]])
+    m.predict(Xq)
+    grid = np.unique(np.concatenate([np.round(times, 12), np.round(Xq[:, 2], 12)]))
+    keys = {round(float(gap), 12) for gap in np.diff(grid)}
+    assert len(keys) < grid.size - 1
+    assert sorted(calls) == sorted(keys)
 
 
 def test_fit_improves_and_reports():
