@@ -118,6 +118,11 @@ def _load_readings(raw, need_covariates):
     readings, report = data_mod.load_sensor_csv(sensors)
     min_count = int(section.get("min_site_readings", 100))
     readings, dropped = data_mod.drop_sparse_sites(readings, min_count)
+    if not readings:
+        raise InputError(
+            f"data.min_site_readings is {min_count}, and all {len(dropped)} sites "
+            f"in {sensors} have fewer readings; lower the setting to keep them"
+        )
     notes = {
         "rows_read": report.rows_read,
         "dropped_bad_value": report.dropped_bad_value,

@@ -1,9 +1,10 @@
-"""First-order optimization shared by all backends.
+"""First-order optimization: the one training loop every backend shares.
 
 Adam-style gradient ascent with per-parameter adaptive steps, a fixed
 iteration budget, a relative-improvement stopping rule, and best-iterate
 tracking so the returned parameters never score worse than the starting
-point.
+point. Exact and state-space fits step on their full objective, SVGP on
+minibatch estimates of its bound.
 """
 
 from dataclasses import dataclass, field
@@ -12,16 +13,18 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
+MIN_LEARNING_RATE = 1e-8   # rejected steps halve the rate; below this the fit stops
+
 
 @dataclass
 class OptimizerOptions:
     learning_rate: float = 0.05
     max_iters: int = 500
     tol: float = 1e-6          # relative-improvement stopping tolerance
-    patience: int = 20         # consecutive non-improving iterations before stopping
+    patience: int = 20         # consecutive non-improving scores before stopping
     seed: int = 0
     batch_size: int = 256      # minibatch backends only
-    eval_every: int = 50       # steps between best-iterate evaluations (minibatch)
+    eval_every: int = 50       # steps between full-objective scores (with `evaluate`)
 
 
 @dataclass
@@ -59,13 +62,17 @@ class AdamState:
         self.t = 0
 
 
-def maximize(value_and_grad, x0, opts):
-    """Gradient-ascend a deterministic objective, returning the best iterate.
+def maximize(value_and_grad, x0, opts, evaluate=None):
+    """Gradient-ascend an objective, returning the best scored iterate.
 
-    value_and_grad(x) -> (value, gradient). Non-finite starting objectives are
-    an input error; a candidate step that fails numerically (or goes
-    non-finite) is rejected, the learning rate halved, and optimization
-    resumes from the incumbent.
+    value_and_grad(x) -> (value, gradient) drives the steps and may be a
+    minibatch estimate. Without `evaluate`, each accepted step is scored by
+    its value; with it, evaluate(x) scores the start, every eval_every-th
+    step and the last step. The trace holds the scores, and patience counts
+    those that fail to beat best + tol * (1 + |best|). A step whose
+    value_and_grad fails numerically or goes non-finite is rejected: the
+    rate halves, the moments reset and the loop resumes from the best
+    iterate, until the rate falls below MIN_LEARNING_RATE.
 
     Returns (best_x, best_value, iterations, converged, trace); the caller
     labels parameters and packs a FitResult.
@@ -75,12 +82,15 @@ def maximize(value_and_grad, x0, opts):
     if opts.max_iters < 1:
         raise InputError(f"max_iters must be at least 1, got {opts.max_iters}")
     x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise InputError("initial parameters contain non-finite values")
     value, grad = value_and_grad(x)
-    if not np.isfinite(value):
-        raise InputError(f"objective is non-finite at the starting point ({value})")
+    score = value if evaluate is None else evaluate(x)
+    if not np.isfinite(score):
+        raise InputError(f"objective is non-finite at the starting point ({score})")
 
-    best_x, best_value = x.copy(), value
-    trace = [value]
+    best_x, best_value = x.copy(), score
+    trace = [score]
     adam = AdamState(x.size, opts.learning_rate)
     stall = 0
     converged = False
@@ -89,30 +99,33 @@ def maximize(value_and_grad, x0, opts):
     for iterations in range(1, opts.max_iters + 1):
         candidate = adam.step(x, grad)
         try:
-            cand_value, cand_grad = value_and_grad(candidate)
-            ok = np.isfinite(cand_value) and np.all(np.isfinite(cand_grad))
+            value, cand_grad = value_and_grad(candidate)
+            ok = np.isfinite(value) and np.all(np.isfinite(cand_grad))
         except NumericalError:
             ok = False
         if not ok:
             # reject, back off and restart the moments from the incumbent
             adam.lr *= 0.5
             adam.reset()
+            if adam.lr < MIN_LEARNING_RATE:
+                break
             x = best_x.copy()
             _, grad = value_and_grad(x)
-            trace.append(best_value)
-            stall += 1
+            continue
+        x, grad = candidate, cand_grad
+        if evaluate is None:
+            score = value
+        elif iterations % opts.eval_every == 0 or iterations == opts.max_iters:
+            score = evaluate(x)
         else:
-            x, value, grad = candidate, cand_value, cand_grad
-            trace.append(value)
-            if value > best_value + opts.tol * (1.0 + abs(best_value)):
-                best_value = value
-                best_x = x.copy()
-                stall = 0
-            else:
-                if value > best_value:
-                    best_value = value
-                    best_x = x.copy()
-                stall += 1
+            continue
+        trace.append(score)
+        if score > best_value + opts.tol * (1.0 + abs(best_value)):
+            stall = 0
+        else:
+            stall += 1
+        if score > best_value:
+            best_x, best_value = x.copy(), score
         if stall >= opts.patience:
             converged = True
             break

@@ -9,7 +9,9 @@ computed in closed form; the Cholesky factor is differentiated through
 its reverse-mode propagation rule rather than by rebuilding K_ZZ^-1.
 
 Minibatches rescale the data-fit sum by n/batch so the stochastic bound
-stays unbiased; the fit loop tracks the best full-batch bound seen.
+stays unbiased. `fit` hands minibatch gradients and the full-batch bound
+to optim.maximize, the training loop every backend shares, which keeps
+the iterate with the best full-batch bound.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from . import optim
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
 from .linalg import chol_rev, chol_with_jitter, tri_solve
@@ -282,76 +284,36 @@ class SVGPModel:
     # -- fitting ------------------------------------------------------------
 
     def fit(self, opts=None, optimize_inducing=True):
-        """Stochastic ascent on the bound with adaptive per-parameter steps.
+        """Stochastic ascent on the bound through optim.maximize.
 
-        Minibatches are resampled each step; the model is left at the
-        parameters with the best full-batch bound evaluated every
-        eval_every steps. On a failed factorization the step size is
-        halved and the moment estimates reset.
+        Steps follow minibatch gradients drawn from default_rng(opts.seed),
+        or the full data when batch_size covers it; the full-batch bound
+        scores the iterates, and the model is left at the best one.
         """
         opts = opts or optim.OptimizerOptions()
         n = self.X.shape[0]
         if n == 0:
             raise InputError("cannot fit a model to zero observations")
-        batch_size = min(opts.batch_size, n)
-        full_batch = batch_size >= n
+        full_batch = opts.batch_size >= n
         rng = np.random.default_rng(opts.seed)
 
-        x = self.log_params(include_inducing=optimize_inducing)
-        if not np.all(np.isfinite(x)):
-            raise InputError("initial parameters contain non-finite values")
-        adam = optim.AdamState(x.size, opts.learning_rate)
+        def value_and_grad(params):
+            batch = None if full_batch else rng.choice(n, size=opts.batch_size, replace=False)
+            self.set_log_params(params, include_inducing=optimize_inducing)
+            return self.elbo_and_grad(batch, include_inducing=optimize_inducing)
 
-        def full_value(params):
+        def evaluate(params):
             self.set_log_params(params, include_inducing=optimize_inducing)
             return self.elbo()
 
-        best_x = x.copy()
-        best_value = full_value(x)
-        trace = [best_value]
-        stale = 0
-        converged = False
-        iterations = 0
-
-        for it in range(1, opts.max_iters + 1):
-            iterations = it
-            batch = None if full_batch else rng.choice(n, size=batch_size, replace=False)
-            try:
-                self.set_log_params(x, include_inducing=optimize_inducing)
-                value, grad = self.elbo_and_grad(batch, include_inducing=optimize_inducing)
-                ok = np.isfinite(value) and np.all(np.isfinite(grad))
-            except NumericalError:
-                ok = False
-            if not ok:
-                adam.lr /= 2.0
-                adam.reset()
-                x = best_x.copy()
-                if adam.lr < 1e-8:
-                    break
-                continue
-            x = adam.step(x, grad)
-
-            if it % opts.eval_every == 0 or it == opts.max_iters:
-                current = full_value(x)
-                trace.append(current)
-                threshold = opts.tol * max(1.0, abs(best_value))
-                if current > best_value + threshold:
-                    best_value = current
-                    best_x = x.copy()
-                    stale = 0
-                else:
-                    if current > best_value:
-                        best_value = current
-                        best_x = x.copy()
-                    stale += 1
-                    if stale >= opts.patience:
-                        converged = True
-                        break
-
+        best_x, best_value, iterations, converged, trace = optim.maximize(
+            value_and_grad, self.log_params(include_inducing=optimize_inducing), opts,
+            evaluate=evaluate,
+        )
         self.set_log_params(best_x, include_inducing=optimize_inducing)
         names = self.param_names(include_inducing=optimize_inducing)
         return optim.FitResult(
-            params=dict(zip(names, best_x)),
+            params=dict(zip(names, best_x.tolist())),
             objective=best_value,
             iterations=iterations,
             converged=converged,

@@ -282,6 +282,25 @@ def test_missing_sensor_file_reports_error(tmp_path, capsys):
     assert "nope.csv" in captured.err
 
 
+@pytest.mark.parametrize("command", ["benchmark", "fit", "stats"])
+def test_dropping_every_sparse_site_names_the_setting(tmp_path, capsys, command):
+    # 5 sites x 3 days gives 72 readings a site, under the default minimum of 100
+    synth = write_config(tmp_path / "synth.json", {"synth": {"sites": 5, "days": 3}})
+    assert main(["synth", "--config", str(synth), "--out-dir", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    config = write_config(
+        tmp_path / "run.json",
+        {"data": {"sensors": str(tmp_path / "s" / "synthetic.csv")},
+         "experiment": {"backend": "exact", "budget": 1}},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "min_site_readings is 100" in err and "all 5 sites" in err
+    assert not out.exists()
+
+
 def test_unknown_config_keys_are_named(tmp_path, capsys):
     config = write_config(tmp_path / "bad.json", {"experimnt": {}})
     assert main(["benchmark", "--config", str(config)]) == 1

@@ -147,12 +147,32 @@ def test_nowcast_duplicate_site_noiseless():
     assert report.max_rmse <= 0.5
 
 
-def test_nowcast_parallelism_does_not_change_results():
-    readings = two_constant_sites()
-    r1 = ev.nowcast_loo(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
-    r4 = ev.nowcast_loo(
-        readings, ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4})
-    )
+def wavy_sites(n_sites=4, n_hours=48):
+    return [
+        mk(f"s{i}", 0.30 + 0.02 * i, 32.50 + 0.03 * i, h,
+           30.0 + 5.0 * i + 8.0 * math.sin(2 * math.pi * (h + 3 * i) / 24.0))
+        for i in range(n_sites)
+        for h in range(n_hours)
+    ]
+
+
+# SVGP fits on the fold threads run the shared optimizer loop on minibatches
+SMALL_SVGP = dict(
+    backend="svgp", n_inducing=6, batch_size=32, budget=80, learning_rate=0.05,
+    repetitions=1, seeds=(2,), parallelism=1,
+)
+
+
+@pytest.mark.parametrize(
+    "readings, config",
+    [(two_constant_sites, MEAN_PREDICTOR), (wavy_sites, SMALL_SVGP)],
+    ids=["exact-mean", "svgp"],
+)
+def test_nowcast_parallelism_does_not_change_results(readings, config):
+    readings = readings()
+    r1 = ev.nowcast_loo(readings, ev.ExperimentConfig(**config))
+    r4 = ev.nowcast_loo(readings, ev.ExperimentConfig(**{**config, "parallelism": 4}))
+    assert len(r1.per_site) > 1
     assert r1.per_site == r4.per_site
     assert r1.avg_rmse == r4.avg_rmse
 

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensorgp import optim
+from sensorgp.data import build_dataset, synth_generate
 from sensorgp.errors import InputError, NumericalError
+from sensorgp.evaluation import ExperimentConfig, fit_model
 
 
 def quadratic(center):
@@ -59,6 +64,14 @@ def test_non_finite_start_rejected():
         optim.maximize(quadratic([0.0]), np.array([np.nan]), optim.OptimizerOptions())
 
 
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_non_finite_start_is_an_input_error_for_every_backend(backend):
+    dataset = build_dataset(synth_generate(sites=3, days=1, seed=0).readings)
+    config = ExperimentConfig(backend=backend, noise_variance=math.nan, budget=5).resolved()
+    with pytest.raises(InputError, match="non-finite"):
+        fit_model(dataset, config, seed=1)
+
+
 def test_recovers_from_numerical_errors():
     # objective blows up beyond x=2; the optimizer should back off and still
     # converge toward the peak at 1.9
@@ -86,3 +99,112 @@ def test_options_validation():
         optim.maximize(quadratic([0.0]), np.zeros(1), optim.OptimizerOptions(learning_rate=-1.0))
     with pytest.raises(InputError):
         optim.maximize(quadratic([0.0]), np.zeros(1), optim.OptimizerOptions(max_iters=0))
+
+
+def test_evaluate_scores_start_every_eval_every_and_last_step():
+    center = np.array([2.0, -1.0])
+    steps = []
+    evaluated = []      # value_and_grad calls made before each evaluate call
+
+    def vag(x):
+        steps.append(x)
+        value, grad = quadratic(center)(x)
+        return value - 1000.0, grad       # a step value the scores must not use
+
+    def evaluate(x):
+        evaluated.append(len(steps))
+        return quadratic(center)(x)[0]
+
+    opts = optim.OptimizerOptions(
+        learning_rate=0.1, max_iters=23, tol=0.0, patience=100, eval_every=5
+    )
+    best_x, best_v, iters, converged, trace = optim.maximize(
+        vag, np.zeros(2), opts, evaluate=evaluate
+    )
+    # one call at the start, then one per step: step k is call k + 1
+    assert evaluated == [1, 6, 11, 16, 21, 24]
+    assert iters == 23 and not converged
+    assert len(trace) == 6
+    assert trace[0] == quadratic(center)(np.zeros(2))[0]
+    assert best_v == max(trace)
+    assert best_v == quadratic(center)(best_x)[0]
+
+
+def test_patience_counts_scores_not_steps_or_rejections():
+    # with `evaluate`, a flat score stops the fit after `patience` scores
+    opts = optim.OptimizerOptions(
+        learning_rate=0.1, max_iters=1000, tol=0.0, patience=3, eval_every=4
+    )
+    _, _, iters, converged, trace = optim.maximize(
+        quadratic([5.0]), np.zeros(1), opts, evaluate=lambda x: 0.0
+    )
+    assert converged and iters == 12 and trace == [0.0] * 4
+
+    # without it, every accepted step is a score and a rejection is not
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise NumericalError("first step fails")
+        return 0.0, np.ones(1)
+
+    opts = optim.OptimizerOptions(learning_rate=0.1, max_iters=1000, tol=0.0, patience=3)
+    _, _, iters, converged, trace = optim.maximize(flat, np.zeros(1), opts)
+    assert converged and iters == 4 and trace == [0.0] * 4
+
+
+def test_objective_failing_after_the_start_stops_at_the_rate_floor():
+    x0 = np.array([0.5, -0.5])
+
+    def vag(x):
+        if not np.array_equal(x, x0):
+            raise NumericalError("fails everywhere but the start")
+        return -1.0, np.array([1.0, 1.0])
+
+    opts = optim.OptimizerOptions(learning_rate=0.05, max_iters=100)
+    best_x, best_v, iters, converged, trace = optim.maximize(vag, x0, opts)
+    # each rejection halves the rate; the first rate below the floor stops
+    assert iters == math.ceil(math.log2(opts.learning_rate / optim.MIN_LEARNING_RATE))
+    assert iters < opts.max_iters
+    assert not converged
+    np.testing.assert_array_equal(best_x, x0)
+    assert best_v == -1.0 and trace == [-1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    center=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    curvature=st.floats(0.1, 10.0),
+    wall=st.floats(0.05, 2.0),
+    failure=st.sampled_from(["raise", "nan"]),
+    scored=st.booleans(),
+    learning_rate=st.floats(0.01, 1.0),
+)
+def test_best_iterate_property_with_a_failing_region(
+    center, curvature, wall, failure, scored, learning_rate
+):
+    # concave quadratic that fails beyond x[0] = wall, by raising or going NaN
+    center = np.array(center)
+
+    def objective(x):
+        d = x - center
+        return float(-curvature * np.sum(d * d)), -2.0 * curvature * d
+
+    def vag(x):
+        if x[0] > wall:
+            if failure == "raise":
+                raise NumericalError("outside the factorizable region")
+            return math.nan, np.full(x.size, math.nan)
+        value, grad = objective(x)
+        return value + 0.1 * math.sin(value), grad   # a noisy step estimate
+
+    evaluate = (lambda x: objective(x)[0]) if scored else None
+    score = evaluate or (lambda x: vag(x)[0])
+    opts = optim.OptimizerOptions(
+        learning_rate=learning_rate, max_iters=60, patience=10, eval_every=3
+    )
+    best_x, best_v, _, _, trace = optim.maximize(vag, np.zeros(center.size), opts, evaluate)
+    assert best_v == max(trace) >= trace[0]
+    assert best_x[0] <= wall
+    assert score(best_x) == best_v
