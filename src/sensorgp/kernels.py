@@ -8,9 +8,17 @@ unconstrained; the flat parameter vector is ordered depth-first over the
 tree (each leaf contributes ``log variance`` first, then its remaining
 parameters).
 
-All nodes evaluate Gram matrices and their analytic derivatives with
-respect to the log-hyperparameters and, where needed for inducing-point
-optimization, with respect to the first input argument.
+``prepare`` computes each leaf's hyperparameter-free base for an input
+pair once: squared distances (one block per column under ARD), or the
+summed ``sin^2`` terms of a fixed-period leaf; a learned period keeps the
+raw differences. A forward pass then costs one ``exp`` per leaf. Each leaf
+writes its derivatives once, as ``dK/dθ_p = K ∘ c_p M_p``: the reverse
+pass maps an adjoint K̄ to ``Σ K̄ ∘ dK/dθ_p`` for every parameter without
+forming those matrices (``Sum`` passes K̄ down, ``Product`` passes K̄
+times the other factors, a leaf reduces ``c_p ⟨K̄ ∘ K, M_p⟩``), and
+``gram_and_grads`` multiplies the same terms out into dense tangents. A
+diagonal is the same tree over paired rows. ``grad_x`` differentiates
+with respect to the first input argument.
 """
 
 import copy
@@ -39,31 +47,113 @@ def _check_pair(X, X2):
     return X, X2
 
 
+def _differences(X, X2, paired):
+    """Row differences: every pair as (n, m, d), or row i with row i as (n, d)."""
+    if paired:
+        return X - X2
+    return X[:, None, :] - X2[None, :, :]
+
+
+def _times(a, b):
+    """a * b, where None stands for an empty product."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a * b
+
+
+def _inner(*arrays):
+    """Sum of the elementwise product of equally shaped arrays, with no temporary."""
+    axes = "abcdefgh"[: arrays[0].ndim]
+    return np.einsum(",".join([axes] * len(arrays)) + "->", *arrays)
+
+
+class PreparedInputs:
+    """A kernel tree bound to one input pair, with every leaf's base computed.
+
+    The bases do not depend on the hyperparameters, so one instance serves
+    every value the kernel's parameters take; each call reads the current
+    ones.
+    """
+
+    def __init__(self, kernel, base):
+        self.kernel = kernel
+        self.base = base
+
+    def gram_and_vjp(self):
+        """Gram matrix K and a function taking an adjoint K̄ of K's shape to
+        the gradient of sum(K̄ ∘ K) over the log-hyperparameters. K must not
+        be modified before the function is called."""
+        tape = self.kernel._forward(self.base)
+
+        def vjp(Kbar):
+            return np.array(self.kernel._reverse(tape, Kbar), dtype=float)
+
+        return tape[0], vjp
+
+
 class Kernel:
-    """Base class for kernel expression trees."""
+    """Base class for kernel expression trees.
+
+    A node implements ``_base(X, X2, paired)``, ``_forward(base) -> (K, aux)``
+    (the pair is its tape), ``_reverse(tape, Kbar)`` and ``_tangents(tape)``,
+    which return one entry per parameter, and ``_grad_x``; interior nodes
+    also implement ``_value``, the tape-free forward pass behind ``gram``.
+    """
+
+    def prepare(self, X, X2=None):
+        """The input pair's hyperparameter-free terms, for repeated evaluation."""
+        X, X2 = _check_pair(X, X2)
+        return PreparedInputs(self, self._base(X, X2, paired=False))
+
+    def prepare_diag(self, X):
+        """As prepare, for the diagonal k(x_i, x_i) alone."""
+        X = _as_matrix(X)
+        return PreparedInputs(self, self._base(X, X, paired=True))
 
     def gram(self, X, X2=None):
         """Covariance matrix between the rows of X and X2 (X2 defaults to X)."""
         X, X2 = _check_pair(X, X2)
-        return self._gram(X, X2)
+        return self._value(X, X2, paired=False)
 
     def diag(self, X):
         """Diagonal of gram(X, X) without forming the full matrix."""
-        return self._diag(_as_matrix(X))
+        X = _as_matrix(X)
+        return self._value(X, X, paired=True)
 
     def gram_and_grads(self, X, X2=None):
         """Gram matrix plus one derivative matrix per log-hyperparameter."""
         X, X2 = _check_pair(X, X2)
-        return self._gram_and_grads(X, X2)
+        return self._value_and_tangents(self._base(X, X2, paired=False))
 
     def diag_and_grads(self, X):
         X = _as_matrix(X)
-        return self._diag_and_grads(X)
+        return self._value_and_tangents(self._base(X, X, paired=True))
 
     def grad_x(self, X, X2):
         """d k(x_i, z_j) / d x_i as an (n, m, d) array."""
         X, X2 = _check_pair(X, X2)
         return self._grad_x(X, X2)
+
+    def _value(self, X, X2, paired):
+        # the same arithmetic as a prepared forward pass, but interior nodes
+        # free each child's terms once it is evaluated instead of keeping a tape
+        return self._forward(self._base(X, X2, paired))[0]
+
+    def _value_and_tangents(self, base):
+        tape = self._forward(base)
+        return tape[0], self._tangents(tape)
+
+    # A node with no hyperparameters to differentiate may implement only
+    # _gram(X, X2) and _diag(X); these defaults hand it the raw inputs.
+
+    def _base(self, X, X2, paired):
+        return X, X2, paired
+
+    def _forward(self, base):
+        X, X2, paired = base
+        return (self._diag(X) if paired else self._gram(X, X2)), None
 
     # -- flat log-parameter vector ----------------------------------------
 
@@ -107,12 +197,36 @@ class Kernel:
         return Product(self, other)
 
 
-class SquaredExponential(Kernel):
+class _Leaf(Kernel):
+    """A leaf whose derivatives are dK/dθ_p = K ∘ c_p M_p.
+
+    `_factors(aux)` yields one (c_p, M_p) per parameter, M_p None standing
+    for all ones; the reverse pass and the dense tangents both read it.
+    """
+
+    @property
+    def variance(self):
+        return float(np.exp(self.log_variance))
+
+    def _reverse(self, tape, Kbar):
+        K, aux = tape
+        return [
+            c * (_inner(Kbar, K) if M is None else _inner(Kbar, K, M))
+            for c, M in self._factors(aux)
+        ]
+
+    def _tangents(self, tape):
+        K, aux = tape
+        return [K * c if M is None else K * M * c for c, M in self._factors(aux)]
+
+
+class SquaredExponential(_Leaf):
     """k(x, x') = variance * exp(-||x - x'||^2 / (2 lengthscale^2)).
 
     A scalar lengthscale is shared across the active input columns; passing an
     array of lengthscales enables per-dimension scaling (automatic relevance
-    determination).
+    determination). The base is the squared distance, or under ARD one
+    squared difference per column, stacked as (columns, n, m).
     """
 
     def __init__(self, variance=1.0, lengthscale=1.0):
@@ -126,57 +240,40 @@ class SquaredExponential(Kernel):
         self.log_lengthscale = np.log(ls) if self.ard else float(np.log(ls))
 
     @property
-    def variance(self):
-        return float(np.exp(self.log_variance))
-
-    @property
     def lengthscale(self):
         return np.exp(self.log_lengthscale)
 
-    def _scaled_sqdist(self, X, X2):
-        ls = self.lengthscale
-        if self.ard and X.shape[1] != np.atleast_1d(ls).size:
-            raise InputError(
-                f"ARD kernel built for {np.atleast_1d(ls).size} dims, got {X.shape[1]}"
-            )
-        diff = X[:, None, :] - X2[None, :, :]
-        diff /= ls
-        return diff, np.sum(diff * diff, axis=-1)
+    def _base(self, X, X2, paired):
+        return self._squares(_differences(X, X2, paired))
 
-    def _gram(self, X, X2):
+    def _squares(self, diff):
+        width = np.atleast_1d(self.log_lengthscale).size
+        if self.ard and diff.shape[-1] != width:
+            raise InputError(f"ARD kernel built for {width} dims, got {diff.shape[-1]}")
+        sq = diff**2
+        if self.ard:
+            return np.moveaxis(sq, -1, 0).copy()   # each column's block contiguous
+        return np.sum(sq, axis=-1)[None]
+
+    def _forward(self, base):
         # in place: each fresh n x n temporary costs about as much as the
         # arithmetic on it
-        _, K = self._scaled_sqdist(X, X2)
-        K *= -0.5
+        scales = -0.5 / np.atleast_1d(self.lengthscale) ** 2
+        K = base[0] * scales[0]
+        for block, scale in zip(base[1:], scales[1:]):
+            K += block * scale
         np.exp(K, out=K)
         K *= self.variance
-        return K
+        return K, base
 
-    def _diag(self, X):
-        return np.full(X.shape[0], self.variance)
-
-    def _gram_and_grads(self, X, X2):
-        diff, d2 = self._scaled_sqdist(X, X2)
-        K = self.variance * np.exp(-0.5 * d2)
-        grads = [K.copy()]  # d/d log variance
-        if self.ard:
-            for j in range(diff.shape[-1]):
-                grads.append(K * diff[..., j] ** 2)
-        else:
-            grads.append(K * d2)
-        return K, grads
-
-    def _diag_and_grads(self, X):
-        d = np.full(X.shape[0], self.variance)
-        zeros = np.zeros(X.shape[0])
-        n_ls = X.shape[1] if self.ard else 1
-        return d, [d.copy()] + [zeros.copy() for _ in range(n_ls)]
+    def _factors(self, base):
+        yield 1.0, None
+        yield from zip(np.atleast_1d(self.lengthscale) ** -2.0, base)
 
     def _grad_x(self, X, X2):
-        diff, d2 = self._scaled_sqdist(X, X2)
-        K = self.variance * np.exp(-0.5 * d2)
-        ls = np.atleast_1d(self.lengthscale)
-        return -K[..., None] * diff / ls
+        diff = _differences(X, X2, False)
+        K = self._forward(self._squares(diff))[0]
+        return -K[..., None] * diff / np.atleast_1d(self.lengthscale) ** 2
 
     def _get_params(self):
         if self.ard:
@@ -205,11 +302,13 @@ class SquaredExponential(Kernel):
         return f"SquaredExponential(variance={self.variance:.4g}, lengthscale={self.lengthscale})"
 
 
-class Periodic(Kernel):
+class Periodic(_Leaf):
     """k(x, x') = variance * exp(-2 sum_k sin^2(pi (x_k - x'_k) / period) / lengthscale^2).
 
     The period is held fixed by default (daily and weekly periods are known a
-    priori); pass learn_period=True to expose it to the optimizer.
+    priori), and the base is the sum of sin^2 terms; pass learn_period=True
+    to expose the period to the optimizer, and the base is the raw
+    differences.
     """
 
     def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False):
@@ -221,10 +320,6 @@ class Periodic(Kernel):
         self.learn_period = bool(learn_period)
 
     @property
-    def variance(self):
-        return float(np.exp(self.log_variance))
-
-    @property
     def lengthscale(self):
         return float(np.exp(self.log_lengthscale))
 
@@ -232,49 +327,43 @@ class Periodic(Kernel):
     def period(self):
         return float(np.exp(self.log_period))
 
-    def _parts(self, X, X2):
-        diff = X[:, None, :] - X2[None, :, :]
+    def _sin2(self, diff):
+        """pi * diff / period, and the sum of its sin^2 over the columns."""
         u = np.pi * diff
         u /= self.period
         sin2 = np.sin(u)
         sin2 *= sin2
-        s = np.sum(sin2, axis=-1)
+        return u, np.sum(sin2, axis=-1)
+
+    def _from_sin2(self, s):
         K = -2.0 * s
         K /= self.lengthscale**2
         np.exp(K, out=K)
         K *= self.variance
-        return diff, u, s, K
+        return K
 
-    def _gram(self, X, X2):
-        return self._parts(X, X2)[3]
+    def _base(self, X, X2, paired):
+        diff = _differences(X, X2, paired)
+        return diff if self.learn_period else self._sin2(diff)[1]
 
-    def _diag(self, X):
-        return np.full(X.shape[0], self.variance)
+    def _forward(self, base):
+        if self.learn_period:
+            u, s = self._sin2(base)
+            return self._from_sin2(s), (s, base, u)
+        return self._from_sin2(base), (base,)
 
-    def _gram_and_grads(self, X, X2):
-        diff, u, s, K = self._parts(X, X2)
+    def _factors(self, aux):
         ell2 = self.lengthscale**2
-        d_ell = K * 4.0
-        d_ell *= s
-        d_ell /= ell2
-        grads = [K.copy(), d_ell]
+        yield 1.0, None
+        yield 4.0 / ell2, aux[0]
         if self.learn_period:
-            total = np.sum(diff * np.sin(2.0 * u), axis=-1)
-            grads.append(K * (2.0 * np.pi / (ell2 * self.period)) * total)
-        return K, grads
-
-    def _diag_and_grads(self, X):
-        d = np.full(X.shape[0], self.variance)
-        zeros = np.zeros(X.shape[0])
-        grads = [d.copy(), zeros.copy()]
-        if self.learn_period:
-            grads.append(zeros.copy())
-        return d, grads
+            _, diff, u = aux
+            yield 2.0 * np.pi / (ell2 * self.period), np.sum(diff * np.sin(2.0 * u), axis=-1)
 
     def _grad_x(self, X, X2):
-        diff, u, s, K = self._parts(X, X2)
+        u, s = self._sin2(_differences(X, X2, False))
         coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
-        return K[..., None] * coeff * np.sin(2.0 * u)
+        return self._from_sin2(s)[..., None] * coeff * np.sin(2.0 * u)
 
     def _get_params(self):
         params = [self.log_variance, self.log_lengthscale]
@@ -302,6 +391,11 @@ class Periodic(Kernel):
 
 
 class _Combination(Kernel):
+    """Interior node: children combined elementwise by `_op`.
+
+    `_weights(Ks)` gives each child's factor in d(node)/d(child), None for one.
+    """
+
     def __init__(self, *children):
         flat = []
         for child in children:
@@ -314,6 +408,40 @@ class _Combination(Kernel):
         if len(flat) < 1:
             raise InputError("combination kernels need at least one child")
         self.children = flat
+
+    def _base(self, X, X2, paired):
+        return [child._base(X, X2, paired) for child in self.children]
+
+    def _value(self, X, X2, paired):
+        K = self.children[0]._value(X, X2, paired)
+        for child in self.children[1:]:
+            K = self._op(K, child._value(X, X2, paired))
+        return K
+
+    def _forward(self, base):
+        tapes = [child._forward(b) for child, b in zip(self.children, base)]
+        K = tapes[0][0]
+        for tape in tapes[1:]:
+            K = self._op(K, tape[0])
+        return K, tapes
+
+    def _reverse(self, tape, Kbar):
+        tapes = tape[1]
+        weights = self._weights([t[0] for t in tapes])
+        return [
+            g
+            for child, t, w in zip(self.children, tapes, weights)
+            for g in child._reverse(t, _times(Kbar, w))
+        ]
+
+    def _tangents(self, tape):
+        tapes = tape[1]
+        weights = self._weights([t[0] for t in tapes])
+        return [
+            _times(g, w)
+            for child, t, w in zip(self.children, tapes, weights)
+            for g in child._tangents(t)
+        ]
 
     def _get_params(self):
         out = []
@@ -339,28 +467,10 @@ class Sum(_Combination):
     """Elementwise sum of child kernels."""
 
     _tag = "sum"
+    _op = staticmethod(np.add)
 
-    def _gram(self, X, X2):
-        return sum(child._gram(X, X2) for child in self.children)
-
-    def _diag(self, X):
-        return sum(child._diag(X) for child in self.children)
-
-    def _gram_and_grads(self, X, X2):
-        K_total, grads = None, []
-        for child in self.children:
-            K, g = child._gram_and_grads(X, X2)
-            K_total = K if K_total is None else K_total + K
-            grads.extend(g)
-        return K_total, grads
-
-    def _diag_and_grads(self, X):
-        d_total, grads = None, []
-        for child in self.children:
-            d, g = child._diag_and_grads(X)
-            d_total = d if d_total is None else d_total + d
-            grads.extend(g)
-        return d_total, grads
+    def _weights(self, Ks):
+        return [None] * len(Ks)
 
     def _grad_x(self, X, X2):
         return sum(child._grad_x(X, X2) for child in self.children)
@@ -369,77 +479,27 @@ class Sum(_Combination):
         return " + ".join(repr(c) for c in self.children)
 
 
-def _times(a, b):
-    """a * b, where None stands for an empty product."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a * b
-
-
 class Product(_Combination):
     """Elementwise product of child kernels."""
 
     _tag = "prod"
+    _op = staticmethod(np.multiply)
 
-    def _gram(self, X, X2):
-        K = self.children[0]._gram(X, X2)
-        for child in self.children[1:]:
-            K = K * child._gram(X, X2)
-        return K
-
-    def _diag(self, X):
-        d = self.children[0]._diag(X)
-        for child in self.children[1:]:
-            d = d * child._diag(X)
-        return d
-
-    def _others_product(self, mats):
-        # prefix/suffix products so no division is needed when a factor is ~0;
-        # None stands for an empty product, so no pass multiplies by 1.0
+    def _weights(self, Ks):
+        # the product of the other factors, from prefix and suffix products
+        # so no division is needed when a factor is ~0
         prefix, suffix = [None], [None]
-        for m in mats[:-1]:
+        for m in Ks[:-1]:
             prefix.append(_times(prefix[-1], m))
-        for m in mats[:0:-1]:
+        for m in Ks[:0:-1]:
             suffix.append(_times(suffix[-1], m))
-        others = [_times(left, right) for left, right in zip(prefix, reversed(suffix))]
-        return [1.0 if other is None else other for other in others]
-
-    def _gram_and_grads(self, X, X2):
-        Ks, grads_per_child = [], []
-        for child in self.children:
-            K, g = child._gram_and_grads(X, X2)
-            Ks.append(K)
-            grads_per_child.append(g)
-        others = self._others_product(Ks)
-        grads = []
-        for g_list, other in zip(grads_per_child, others):
-            grads.extend(g * other for g in g_list)
-        # multiplied in _gram's order, so K is bit-identical to gram's
-        K_total = Ks[0]
-        for K in Ks[1:]:
-            K_total = K_total * K
-        return K_total, grads
-
-    def _diag_and_grads(self, X):
-        ds, grads_per_child = [], []
-        for child in self.children:
-            d, g = child._diag_and_grads(X)
-            ds.append(d)
-            grads_per_child.append(g)
-        others = self._others_product(ds)
-        grads = []
-        for g_list, other in zip(grads_per_child, others):
-            grads.extend(g * other for g in g_list)
-        return others[0] * ds[0], grads
+        return [_times(left, right) for left, right in zip(prefix, reversed(suffix))]
 
     def _grad_x(self, X, X2):
-        Ks = [child._gram(X, X2) for child in self.children]
-        others = self._others_product(Ks)
+        others = self._weights([child._value(X, X2, False) for child in self.children])
         total = None
         for child, other in zip(self.children, others):
-            term = child._grad_x(X, X2) * np.expand_dims(other, -1)
+            term = _times(child._grad_x(X, X2), None if other is None else other[..., None])
             total = term if total is None else total + term
         return total
 
@@ -468,17 +528,20 @@ class ActiveDims(Kernel):
             )
         return X[:, self.dims]
 
-    def _gram(self, X, X2):
-        return self.child._gram(self._slice(X), self._slice(X2))
+    def _base(self, X, X2, paired):
+        return self.child._base(self._slice(X), self._slice(X2), paired)
 
-    def _diag(self, X):
-        return self.child._diag(self._slice(X))
+    def _value(self, X, X2, paired):
+        return self.child._value(self._slice(X), self._slice(X2), paired)
 
-    def _gram_and_grads(self, X, X2):
-        return self.child._gram_and_grads(self._slice(X), self._slice(X2))
+    def _forward(self, base):
+        return self.child._forward(base)
 
-    def _diag_and_grads(self, X):
-        return self.child._diag_and_grads(self._slice(X))
+    def _reverse(self, tape, Kbar):
+        return self.child._reverse(tape, Kbar)
+
+    def _tangents(self, tape):
+        return self.child._tangents(tape)
 
     def _grad_x(self, X, X2):
         sub = self.child._grad_x(self._slice(X), self._slice(X2))

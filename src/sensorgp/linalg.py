@@ -1,5 +1,6 @@
-"""Shared dense linear-algebra helpers: jittered Cholesky and its reverse-mode rule,
-plus a scoped single-thread pin for the OpenBLAS libraries numpy and scipy load."""
+"""Shared dense linear-algebra helpers: jittered Cholesky, the inverse from its
+factor and its reverse-mode rule, plus a scoped single-thread pin for the
+OpenBLAS libraries numpy and scipy load."""
 
 import ctypes
 import os
@@ -9,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import NumericalError
 
@@ -60,6 +62,19 @@ def tri_solve(L, B, trans=False):
 def chol_solve(L, B):
     """Solve (L L^T) x = B given the lower factor L."""
     return tri_solve(L, tri_solve(L, B), trans=True)
+
+
+def chol_inverse_lower(L):
+    """Lower triangle of (L L^T)^-1, zeros above, given the lower factor L with
+    zeros above its diagonal (as chol_with_jitter returns it).
+
+    LAPACK dpotri runs on the factor's transpose, which is L's memory read in
+    Fortran order, so no transposed copy is made.
+    """
+    inv, info = dpotri(L.T, lower=0)
+    if info != 0:
+        raise NumericalError(f"inverse from the Cholesky factor failed (dpotri info {info})")
+    return inv.T
 
 
 def _phi(M):

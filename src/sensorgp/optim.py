@@ -68,11 +68,13 @@ def maximize(value_and_grad, x0, opts, evaluate=None):
     value_and_grad(x) -> (value, gradient) drives the steps and may be a
     minibatch estimate. Without `evaluate`, each accepted step is scored by
     its value; with it, evaluate(x) scores the start, every eval_every-th
-    step and the last step. The trace holds the scores, and patience counts
-    those that fail to beat best + tol * (1 + |best|). A step whose
-    value_and_grad fails numerically or goes non-finite is rejected: the
-    rate halves, the moments reset and the loop resumes from the best
-    iterate, until the rate falls below MIN_LEARNING_RATE.
+    step and the last step, which calls evaluate alone since no step
+    follows to use its gradient. The trace holds the scores, and patience
+    counts those that fail to beat best + tol * (1 + |best|). A step whose
+    value_and_grad (or, last, evaluate) fails numerically or goes
+    non-finite is rejected: the rate halves, the moments reset and the loop
+    resumes from the best iterate, until the rate falls below
+    MIN_LEARNING_RATE or the budget is spent.
 
     Returns (best_x, best_value, iterations, converged, trace); the caller
     labels parameters and packs a FitResult.
@@ -97,28 +99,37 @@ def maximize(value_and_grad, x0, opts, evaluate=None):
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
+        last = iterations == opts.max_iters
+        score_only = last and evaluate is not None   # no step follows to use a gradient
         candidate = adam.step(x, grad)
         try:
-            value, cand_grad = value_and_grad(candidate)
-            ok = np.isfinite(value) and np.all(np.isfinite(cand_grad))
+            if score_only:
+                score = evaluate(candidate)
+                ok = np.isfinite(score)
+            else:
+                value, cand_grad = value_and_grad(candidate)
+                ok = np.isfinite(value) and np.all(np.isfinite(cand_grad))
         except NumericalError:
             ok = False
         if not ok:
             # reject, back off and restart the moments from the incumbent
             adam.lr *= 0.5
             adam.reset()
-            if adam.lr < MIN_LEARNING_RATE:
+            if adam.lr < MIN_LEARNING_RATE or last:
                 break
             x = best_x.copy()
             _, grad = value_and_grad(x)
             continue
-        x, grad = candidate, cand_grad
-        if evaluate is None:
-            score = value
-        elif iterations % opts.eval_every == 0 or iterations == opts.max_iters:
-            score = evaluate(x)
+        if score_only:
+            x = candidate
         else:
-            continue
+            x, grad = candidate, cand_grad
+            if evaluate is None:
+                score = value
+            elif iterations % opts.eval_every == 0:
+                score = evaluate(x)
+            else:
+                continue
         trace.append(score)
         if score > best_value + opts.tol * (1.0 + abs(best_value)):
             stall = 0

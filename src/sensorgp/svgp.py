@@ -6,7 +6,9 @@ q(w) = N(m_w, C C^T), C lower triangular with log-stored diagonal. The
 evidence lower bound and all gradients (hyperparameters, variational
 parameters, and optionally the inducing locations themselves) are
 computed in closed form; the Cholesky factor is differentiated through
-its reverse-mode propagation rule rather than by rebuilding K_ZZ^-1.
+its reverse-mode propagation rule rather than by rebuilding K_ZZ^-1, and
+the adjoints of K_ZZ, K_ZX and diag K_XX go through the kernel's reverse
+pass (kernels.py), so no per-parameter derivative matrix is formed.
 
 Minibatches rescale the data-fit sum by n/batch so the stochastic bound
 stays unbiased. `fit` hands minibatch gradients and the full-batch bound
@@ -225,10 +227,10 @@ class SVGPModel:
         Xb, yb = self.X[idx], self.y[idx]
         m = self.n_inducing
 
-        Kzz, dKzz = self.kernel.gram_and_grads(self.Z)
+        Kzz, zz_vjp = self.kernel.prepare(self.Z).gram_and_vjp()
         L, _ = chol_with_jitter(Kzz)
-        Kzx, dKzx = self.kernel.gram_and_grads(self.Z, Xb)
-        kdiag, dkdiag = self.kernel.diag_and_grads(Xb)
+        Kzx, zx_vjp = self.kernel.prepare(self.Z, Xb).gram_and_vjp()
+        kdiag, diag_vjp = self.kernel.prepare_diag(Xb).gram_and_vjp()
         C = self.variational_cov_factor()
 
         A = tri_solve(L, Kzx)
@@ -260,12 +262,8 @@ class SVGPModel:
         Lbar = np.tril(-Kzx_bar @ A.T)
         Kzz_bar = chol_rev(L, Lbar)
 
-        grad_kernel = np.array(
-            [
-                np.sum(Kzz_bar * dzz) + np.sum(Kzx_bar * dzx) + vbar * np.sum(dd)
-                for dzz, dzx, dd in zip(dKzz, dKzx, dkdiag)
-            ]
-        )
+        # one reverse kernel pass per matrix the bound reads
+        grad_kernel = zz_vjp(Kzz_bar) + zx_vjp(Kzx_bar) + diag_vjp(np.full(idx.size, vbar))
         grad_log_noise = sigma2 * scale * np.sum(
             -1.0 / (2.0 * sigma2) + (resid**2 + var) / (2.0 * sigma2**2)
         )

@@ -101,6 +101,18 @@ def filter_runtime(model, n_steps, repeats=2):
     return best
 
 
+def filter_doubling_ratio(model, n_steps, pairs=7):
+    """Median over pairs of the sweep time over n_steps rows divided by that
+    over n_steps // 2. Each pair times the two sizes back to back, in
+    alternating order, so a burst of load skews one pair, not one size."""
+    ratios = []
+    for k in range(pairs):
+        sizes = (n_steps // 2, n_steps) if k % 2 == 0 else (n_steps, n_steps // 2)
+        seconds = {size: filter_runtime(model, size, repeats=1) for size in sizes}
+        ratios.append(seconds[n_steps] / seconds[n_steps // 2])
+    return float(np.median(ratios))
+
+
 def filter_with_fences(readings, report):
     """Readings inside a previous OutlierReport's frozen fences."""
     kept = []

@@ -16,7 +16,7 @@ from helpers import (
     central_diff,
     dense_lml,
     dense_posterior,
-    filter_runtime,
+    filter_doubling_ratio,
     filter_with_fences,
     separable_gram,
 )
@@ -236,9 +236,7 @@ def test_statespace_matches_dense_and_scales_linearly():
     big = statespace.StateSpaceGP(
         spatial, temporal, np.array(rows), np.array(vals), noise_variance=0.25
     )
-    half = filter_runtime(big, T // 2, repeats=3)
-    full = filter_runtime(big, T, repeats=3)
-    ratio = full / half
+    ratio = filter_doubling_ratio(big, T, pairs=7)
 
     ok = single_worst < 1e-6 and grid_worst < 1e-5 and 1.5 <= ratio <= 2.5
     verdict(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sensorgp import kernels
+from sensorgp import exact_gp, kernels
 from sensorgp.data import build_dataset, synth_generate
 from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel, subsample
@@ -78,6 +78,31 @@ def test_gradient_matches_finite_differences():
     fd = central_diff(f, theta0, step=1e-5)
     m.set_log_params(theta0)
     assert an.shape == fd.shape == (m.kernel.n_params + 2,)
+    np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-6)
+
+
+def test_gradient_matches_finite_differences_ard_and_learned_period():
+    # the first gradient prepares the training inputs and later ones reuse
+    # them, so a base that kept the period it was built with fails here
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(12, 3))
+    y = rng.normal(size=12)
+    k = kernels.ActiveDims([0, 1], kernels.SquaredExponential(1.2, [0.8, 1.5])) + (
+        kernels.ActiveDims([2], kernels.Periodic(0.7, 1.1, 2.0, learn_period=True))
+    )
+    m = GPModel(k, X, y, noise_variance=0.2, mean=0.1)
+    m.grad_log_marginal_likelihood()
+    theta0 = m.log_params() + rng.uniform(-0.3, 0.3, size=m.log_params().size)
+    m.set_log_params(theta0)
+    an = m.grad_log_marginal_likelihood()
+
+    def f(theta):
+        m.set_log_params(theta)
+        return m.log_marginal_likelihood()
+
+    fd = central_diff(f, theta0, step=1e-5)
+    assert "periodic.log_period" in m.param_names()[5]
+    assert abs(fd[5]) > 1e-3
     np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-6)
 
 
@@ -208,6 +233,28 @@ def test_factor_cache_invalidated_on_param_change():
     m.set_log_params(theta)
     lml2 = m.log_marginal_likelihood()
     assert lml1 != lml2
+
+
+def test_fit_ending_at_its_best_leaves_the_factor_for_predict(monkeypatch):
+    m = toy_model(seed=16, n=20)
+    res = m.fit(OptimizerOptions(max_iters=4, learning_rate=0.01))
+    assert res.objective == res.objective_trace[-1] > res.objective_trace[0]
+    factor = m._cache
+    assert factor is not None
+
+    def no_factor(A):
+        raise AssertionError("predict factored the training Gram again")
+
+    monkeypatch.setattr(exact_gp, "chol_with_jitter", no_factor)
+    m.predict(np.random.default_rng(17).normal(size=(3, 2)))
+    assert m._cache is factor
+    # a vector equal bit for bit keeps the factor; any change drops it
+    m.set_log_params(m.log_params())
+    assert m._cache is factor
+    theta = m.log_params()
+    theta[-1] += 1e-12
+    m.set_log_params(theta)
+    assert m._cache is None
 
 
 def test_constructor_validates_shapes():

@@ -246,6 +246,11 @@ def test_gram_and_grads_matrix_is_gram_bit_for_bit():
     for k in (random_tree(rng), three + kernels.SquaredExponential(0.3, 1.5)):
         K, _ = k.gram_and_grads(X)
         assert np.array_equal(K, k.gram(X))
+        # the cached route: inputs prepared once serve later parameter values
+        prepared = k.prepare(X)
+        assert np.array_equal(prepared.gram_and_vjp()[0], K)
+        k.set_log_params(k.log_params() + 0.1)
+        assert np.array_equal(prepared.gram_and_vjp()[0], k.gram(X))
 
 
 def test_diag_and_grads_consistent():
@@ -257,6 +262,66 @@ def test_diag_and_grads_consistent():
     np.testing.assert_allclose(d, np.diag(K), atol=1e-13)
     for g, dg in zip(grads, dgrads):
         np.testing.assert_allclose(dg, np.diag(g), atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the reverse pass
+
+WIDTH = 3
+positive = st.floats(0.3, 3.0)
+
+
+@st.composite
+def leaves(draw):
+    """An SE, ARD SE or periodic leaf (period fixed or learned), on all input
+    columns or wrapped in ActiveDims."""
+    dims = draw(st.lists(st.integers(0, WIDTH - 1), min_size=1, max_size=WIDTH, unique=True))
+    wrap = draw(st.booleans())
+    if not wrap:
+        dims = list(range(WIDTH))
+    kind = draw(st.sampled_from(["se", "ard", "periodic", "learned-period"]))
+    variance, lengthscale = draw(positive), draw(positive)
+    if kind == "se":
+        leaf = kernels.SquaredExponential(variance, lengthscale)
+    elif kind == "ard":
+        leaf = kernels.SquaredExponential(variance, [draw(positive) for _ in dims])
+    else:
+        leaf = kernels.Periodic(
+            variance, lengthscale, draw(st.floats(0.5, 5.0)), kind == "learned-period"
+        )
+    return kernels.ActiveDims(dims, leaf) if wrap else leaf
+
+
+# sums and products nest either way round: a Sum under a Product stays one
+kernel_trees = st.recursive(
+    leaves(),
+    lambda children: st.tuples(
+        st.sampled_from([kernels.Sum, kernels.Product]),
+        st.lists(children, min_size=1, max_size=3),
+    ).map(lambda node: node[0](*node[1])),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=kernel_trees, seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+def test_reverse_pass_matches_dense_tangents(kernel, seed, diagonal):
+    rng = np.random.default_rng(seed)
+    X, X2 = rng.normal(size=(6, WIDTH)), rng.normal(size=(5, WIDTH))
+    if diagonal:
+        K, tangents = kernel.diag_and_grads(X)
+        K_rev, vjp = kernel.prepare_diag(X).gram_and_vjp()
+    else:
+        K, tangents = kernel.gram_and_grads(X, X2)
+        K_rev, vjp = kernel.prepare(X, X2).gram_and_vjp()
+    assert np.array_equal(K_rev, K)
+    Kbar = rng.normal(size=K.shape)
+    reduced = vjp(Kbar)
+    assert reduced.shape == (kernel.n_params,) == (len(tangents),)
+    for p, dK in enumerate(tangents):
+        # relative to the sum of magnitudes: the sum itself may cancel
+        bound = 1e-12 * np.sum(np.abs(Kbar * dK))
+        assert abs(reduced[p] - np.sum(Kbar * dK)) <= bound, kernel.param_names()[p]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,16 @@ def test_chol_solve_matches_inverse():
     np.testing.assert_allclose(linalg.chol_solve(L, b), np.linalg.inv(A) @ b, atol=1e-9)
 
 
+def test_chol_inverse_lower_is_the_inverse_lower_triangle():
+    rng = np.random.default_rng(3)
+    A = spd(rng, 7)
+    L, _ = linalg.chol_with_jitter(A)
+    inv = linalg.chol_inverse_lower(L)
+    assert inv.flags["C_CONTIGUOUS"]
+    np.testing.assert_allclose(inv, np.tril(np.linalg.inv(A)), rtol=1e-10, atol=1e-14)
+    assert np.array_equal(np.triu(inv, 1), np.zeros_like(inv))
+
+
 def test_chol_rev_matches_finite_differences():
     rng = np.random.default_rng(3)
     n = 5

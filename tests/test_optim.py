@@ -121,13 +121,49 @@ def test_evaluate_scores_start_every_eval_every_and_last_step():
     best_x, best_v, iters, converged, trace = optim.maximize(
         vag, np.zeros(2), opts, evaluate=evaluate
     )
-    # one call at the start, then one per step: step k is call k + 1
-    assert evaluated == [1, 6, 11, 16, 21, 24]
+    # one call at the start, then one per step: step k is call k + 1; the
+    # last step is scored by evaluate alone
+    assert evaluated == [1, 6, 11, 16, 21, 23]
     assert iters == 23 and not converged
     assert len(trace) == 6
     assert trace[0] == quadratic(center)(np.zeros(2))[0]
     assert best_v == max(trace)
     assert best_v == quadratic(center)(best_x)[0]
+
+
+@pytest.mark.parametrize("last_score", [-0.5, math.nan], ids=["finite", "nan"])
+def test_evaluate_takes_no_gradient_at_the_last_step(last_score):
+    vag_calls, evaluate_calls = [], []
+
+    def vag(x):
+        vag_calls.append(x)
+        return quadratic([1.0])(x)
+
+    def evaluate(x):
+        evaluate_calls.append(x)
+        return last_score if len(evaluate_calls) == 3 else -float(len(evaluate_calls))
+
+    opts = optim.OptimizerOptions(
+        learning_rate=0.1, max_iters=10, tol=0.0, patience=100, eval_every=5
+    )
+    best_x, best_v, iters, converged, trace = optim.maximize(
+        vag, np.zeros(1), opts, evaluate=evaluate
+    )
+    # the start and steps 1-9 take gradients; step 10 is only scored
+    assert len(vag_calls) == 10 and len(evaluate_calls) == 3 and iters == 10
+    assert not any(np.array_equal(evaluate_calls[2], x) for x in vag_calls)
+    if math.isnan(last_score):
+        # a non-finite last score is a rejected step: no trace entry, no best
+        assert trace == [-1.0, -2.0] and best_v == -1.0
+        np.testing.assert_array_equal(best_x, np.zeros(1))
+    else:
+        assert trace == [-1.0, -2.0, -0.5] and best_v == -0.5
+        np.testing.assert_array_equal(best_x, evaluate_calls[2])
+
+    # without evaluate, every step's value scores it, so every step takes one
+    vag_calls.clear()
+    optim.maximize(vag, np.zeros(1), opts)
+    assert len(vag_calls) == 11
 
 
 def test_patience_counts_scores_not_steps_or_rejections():
@@ -191,15 +227,23 @@ def test_best_iterate_property_with_a_failing_region(
         d = x - center
         return float(-curvature * np.sum(d * d)), -2.0 * curvature * d
 
+    def fails_beyond_wall(x):
+        if x[0] > wall and failure == "raise":
+            raise NumericalError("outside the factorizable region")
+        return x[0] > wall
+
     def vag(x):
-        if x[0] > wall:
-            if failure == "raise":
-                raise NumericalError("outside the factorizable region")
+        if fails_beyond_wall(x):
             return math.nan, np.full(x.size, math.nan)
         value, grad = objective(x)
         return value + 0.1 * math.sin(value), grad   # a noisy step estimate
 
-    evaluate = (lambda x: objective(x)[0]) if scored else None
+    def full_objective(x):
+        # fails where the step estimate does, as a full bound fails where
+        # its minibatch estimate does; it alone scores the last step
+        return math.nan if fails_beyond_wall(x) else objective(x)[0]
+
+    evaluate = full_objective if scored else None
     score = evaluate or (lambda x: vag(x)[0])
     opts = optim.OptimizerOptions(
         learning_rate=learning_rate, max_iters=60, patience=10, eval_every=3
