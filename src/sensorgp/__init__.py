@@ -7,7 +7,7 @@ pipeline, plus the benchmark protocols used to compare them.
 
 from .data import (
     Dataset,
-    SensorReading,
+    Readings,
     SynthConfig,
     build_dataset,
     drop_sparse_sites,
@@ -55,8 +55,8 @@ __all__ = [
     "ActiveDims", "ConfigError", "Dataset", "ExperimentConfig", "ExperimentReport",
     "FitResult", "FormatError", "GPModel", "InputError", "Kernel", "Matern12",
     "Matern32", "NumericalError", "OptimizerOptions", "Periodic",
-    "PosteriorPrediction", "Product", "ProtocolError", "SVGPModel",
-    "SensorGPError", "SensorReading", "SquaredExponential", "StateSpaceGP",
+    "PosteriorPrediction", "Product", "ProtocolError", "Readings", "SVGPModel",
+    "SensorGPError", "SquaredExponential", "StateSpaceGP",
     "Sum", "SynthConfig", "build_dataset", "default_matrix", "drop_sparse_sites",
     "forecast_holdout", "from_config", "init_inducing", "join_weather",
     "load_model", "load_sensor_csv", "nowcast_loo", "remove_outliers",

@@ -12,9 +12,10 @@ import json
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import data as data_mod
@@ -118,7 +119,7 @@ def _load_readings(raw, need_covariates):
     readings, report = data_mod.load_sensor_csv(sensors)
     min_count = int(section.get("min_site_readings", 100))
     readings, dropped = data_mod.drop_sparse_sites(readings, min_count)
-    if not readings:
+    if not len(readings):
         raise InputError(
             f"data.min_site_readings is {min_count}, and all {len(dropped)} sites "
             f"in {sensors} have fewer readings; lower the setting to keep them"
@@ -137,7 +138,7 @@ def _load_readings(raw, need_covariates):
             )
         readings, missed = data_mod.join_weather(readings, weather)
         notes["readings_without_weather"] = missed
-        if not readings:
+        if not len(readings):
             raise InputError("no readings remained after joining weather data")
     return readings, notes
 
@@ -160,8 +161,16 @@ def _format_float(value):
     return repr(float(value))
 
 
-def _format_hour(ts):
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:00:00Z")
+def _format_hours(hours):
+    """Integer UTC hours since the epoch as ISO-8601 strings."""
+    stamps = np.datetime_as_string(hours.astype("datetime64[h]"), unit="h")
+    return [stamp + ":00:00Z" for stamp in stamps]
+
+
+def _reading_rows(readings, *values):
+    """Site, coordinates and timestamp of each reading, then the `values` columns."""
+    lat, lon, *values = (map(_format_float, c) for c in (readings.lat, readings.lon, *values))
+    return zip(readings.site, lat, lon, _format_hours(readings.hour), *values)
 
 
 # -- commands ---------------------------------------------------------------
@@ -225,19 +234,11 @@ def cmd_predict(args):
 
     out = _out_dir(raw, args)
     path = out / "predictions.csv"
-    rows = [
-        (
-            q.site_id, _format_float(q.latitude), _format_float(q.longitude),
-            _format_hour(q.timestamp), _format_float(m),
-            _format_float(ls), _format_float(os_),
-        )
-        for q, m, ls, os_ in zip(queries, mean, latent_std, observed_std)
-    ]
     _write_csv(
         path,
         ("site_id", "latitude", "longitude", "timestamp",
          "mean", "latent_std", "observed_std"),
-        rows,
+        _reading_rows(queries, mean, latent_std, observed_std),
     )
     print(f"wrote {path}")
     return 0
@@ -294,22 +295,15 @@ def cmd_synth(args):
     result = data_mod.synth_generate(**section)
 
     out = _out_dir(raw, args)
-    data_rows = [
-        (
-            r.site_id, _format_float(r.latitude), _format_float(r.longitude),
-            _format_hour(r.timestamp), _format_float(r.pm25),
-        )
-        for r in result.readings
-    ]
+    readings = result.readings
     _write_csv(
         out / "synthetic.csv",
         ("site_id", "latitude", "longitude", "timestamp", "pm2_5"),
-        data_rows,
+        _reading_rows(readings, readings.pm25),
     )
-    latent_rows = [
-        (r.site_id, _format_hour(r.timestamp), _format_float(latent))
-        for r, latent in zip(result.readings, result.latents)
-    ]
+    latent_rows = zip(
+        readings.site, _format_hours(readings.hour), map(_format_float, result.latents)
+    )
     _write_csv(out / "latent.csv", ("site_id", "timestamp", "latent"), latent_rows)
 
     meta = {
@@ -317,7 +311,7 @@ def cmd_synth(args):
         for f in dataclass_fields(result.config)
     }
     meta["start"] = result.config.start.isoformat()
-    meta["rows_written"] = len(result.readings)
+    meta["rows_written"] = len(readings)
     with open(out / "synth_meta.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(meta, handle, indent=2)
         handle.write("\n")

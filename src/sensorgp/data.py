@@ -1,15 +1,17 @@
 """Sensor-data ingestion, cleaning, normalization and synthesis.
 
-The pipeline: load hourly readings from CSV, drop sites with too few
-readings, optionally remove outliers and join weather covariates, then
-build the normalized design matrix all models train on. A synthetic
+The pipeline: load hourly readings from CSV into a `Readings` table of
+column arrays, drop sites with too few readings, optionally remove
+outliers and join weather covariates, then build the normalized design
+matrix all models train on. Every stage is array arithmetic over the
+columns; times are integer UTC hours since the epoch. A synthetic
 generator with known ground truth closes the loop for end-to-end tests.
 """
 
 import csv
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -28,21 +30,47 @@ COVARIATE_INPUT_COLUMNS = (
     "temp",
     "precip",
 )
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+HOUR = timedelta(hours=1)
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    """One calibrated PM2.5 observation at a site and hour."""
+@dataclass(eq=False)
+class Readings:
+    """Hourly PM2.5 readings as column arrays.
 
-    site_id: str
-    latitude: float
-    longitude: float
-    timestamp: datetime          # UTC, floored to the hour
-    pm25: float
-    covariates: dict = None
+    `hour` holds integer UTC hours since the epoch; `pm25` is NaN for
+    queries; `covariates`, when present, is an (n, 7) matrix in
+    COVARIATE_INPUT_COLUMNS order. Loaded readings hold one row per
+    (site, hour), ordered by (hour, site), and every stage keeps that
+    order; query rows keep their file order.
+    """
+
+    site: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    hour: np.ndarray
+    pm25: np.ndarray
+    covariates: np.ndarray = None
+
+    def __len__(self):
+        return self.hour.size
+
+    def take(self, rows):
+        """The rows a boolean mask or an index array selects, in that order."""
+        return Readings(*(
+            None if col is None else col[rows]
+            for col in (getattr(self, f.name) for f in fields(self))
+        ))
 
 
-def _parse_timestamp(raw, path, line_no):
+def _hour_of(ts):
+    """A datetime as whole UTC hours since the epoch; a naive one is taken as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - EPOCH) // HOUR
+
+
+def _parse_hour(raw, path, line_no):
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -52,11 +80,7 @@ def _parse_timestamp(raw, path, line_no):
         raise FormatError(
             f"{path}: line {line_no}: timestamp {raw!r} is not ISO-8601"
         ) from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        ts = ts.astimezone(timezone.utc)
-    return ts.replace(minute=0, second=0, microsecond=0)
+    return _hour_of(ts)
 
 
 def _number(cell, path, line_no, name):
@@ -113,16 +137,18 @@ class LoadReport:
 
 
 def load_sensor_csv(path):
-    """Read sensor readings; returns (readings, LoadReport).
+    """Read sensor readings; returns (Readings, LoadReport).
 
     Rows whose pm2_5 is missing, unparseable, negative or non-finite are
-    dropped and counted. Duplicate (site, hour) rows are averaged. Bad
-    timestamps or non-finite coordinates are format errors naming the line.
+    dropped and counted. Duplicate (site, hour) rows are averaged and keep
+    the first row's coordinates. Bad timestamps or non-finite coordinates
+    are format errors naming the line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         _, rows = _read_csv(handle, path, SENSOR_COLUMNS)
         report = LoadReport()
-        merged = {}
+        hour_of = {}
+        sites, lats, lons, hours, values = [], [], [], [], []
         for line_no, (site, lat, lon, stamp, pm) in rows:
             report.rows_read += 1
             try:
@@ -132,39 +158,58 @@ def load_sensor_csv(path):
             if not math.isfinite(pm25) or pm25 < 0:
                 report.dropped_bad_value += 1
                 continue
-            ts = _parse_timestamp(stamp, path, line_no)
-            lat = _number(lat, path, line_no, "latitude")
-            lon = _number(lon, path, line_no, "longitude")
-            key = (site.strip(), ts)
-            if key in merged:
-                merged[key][3].append(pm25)
-                report.duplicates_averaged += 1
-            else:
-                merged[key] = (key[0], lat, lon, [pm25])
+            hour = hour_of.get(stamp)
+            if hour is None:
+                hour = hour_of[stamp] = _parse_hour(stamp, path, line_no)
+            hours.append(hour)
+            lats.append(_number(lat, path, line_no, "latitude"))
+            lons.append(_number(lon, path, line_no, "longitude"))
+            sites.append(site.strip())
+            values.append(pm25)
 
-    if not merged:
+    if not values:
         raise InputError(f"{path}: no usable readings")
-    readings = [
-        SensorReading(
-            site, lat, lon, ts, values[0] if len(values) == 1 else float(np.mean(values))
-        )
-        for (site, ts), (_, lat, lon, values) in sorted(
-            merged.items(), key=lambda item: (item[0][1], item[0][0])
-        )
-    ]
+    # one row per (site, hour) key, sorted by hour, then site
+    names, code = np.unique(np.array(sites), return_inverse=True)
+    hours = np.array(hours, dtype=np.int64)
+    _, first, group, counts = np.unique(
+        hours * names.size + code, return_index=True, return_inverse=True, return_counts=True
+    )
+    values = np.array(values)
+    pm25 = values[first]
+    merged = counts > 1
+    pm25[merged] = np.bincount(group, weights=values)[merged] / counts[merged]
+    report.duplicates_averaged = len(values) - len(first)
+    readings = Readings(
+        names[code[first]], np.array(lats)[first], np.array(lons)[first], hours[first], pm25
+    )
     return readings, report
 
 
 def drop_sparse_sites(readings, min_count=100):
-    """Remove all readings from sites with fewer than min_count rows."""
-    counts = {}
-    for r in readings:
-        counts[r.site_id] = counts.get(r.site_id, 0) + 1
-    dropped = sorted(site for site, c in counts.items() if c < min_count)
-    if not dropped:
-        return list(readings), []
-    keep = [r for r in readings if r.site_id not in set(dropped)]
-    return keep, dropped
+    """Remove all readings from sites with fewer than min_count rows;
+    returns (kept, sorted dropped site ids)."""
+    names, code, counts = np.unique(readings.site, return_inverse=True, return_counts=True)
+    dropped = [str(site) for site in names[counts < min_count]]
+    return readings.take(counts[code] >= min_count), dropped
+
+
+def _groups(*keys):
+    """(key values, row indices) per distinct key combination, in sorted key
+    order; each group's rows keep their order."""
+    order = np.lexsort(keys[::-1])
+    if not order.size:
+        return []
+    ordered = [k[order] for k in keys]
+    change = np.zeros(order.size, dtype=bool)
+    change[0] = True
+    for k in ordered:
+        change[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(change)
+    return [
+        (tuple(k[s].item() for k in ordered), rows)
+        for s, rows in zip(starts, np.split(order, starts[1:]))
+    ]
 
 
 @dataclass
@@ -186,22 +231,14 @@ class OutlierReport:
     scope: str
     groups: dict = field(default_factory=dict)
 
-    @property
-    def total_removed(self):
-        return sum(g.removed for g in self.groups.values())
-
 
 def _fences(values, factor, mode):
     q1 = float(np.percentile(values, 25))
     q3 = float(np.percentile(values, 75))
     iqr = q3 - q1
     margin = 0.0 if iqr == 0.0 else factor * iqr
-    if mode == "tukey":
-        return q1, q3, iqr, q1 - margin, q3 + margin
-    if mode == "mean":
-        center = float(np.mean(values))
-        return q1, q3, iqr, center - margin, center + margin
-    raise InputError(f"unknown outlier mode {mode!r} (expected 'tukey' or 'mean')")
+    low, high = (q1, q3) if mode == "tukey" else (float(np.mean(values)),) * 2
+    return q1, q3, iqr, low - margin, high + margin
 
 
 def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
@@ -213,82 +250,84 @@ def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
     """
     if scope not in ("per-site", "global"):
         raise InputError(f"unknown outlier scope {scope!r}")
-    groups = {}
-    for r in readings:
-        key = r.site_id if scope == "per-site" else "__all__"
-        groups.setdefault(key, []).append(r)
-
+    if mode not in ("tukey", "mean"):
+        raise InputError(f"unknown outlier mode {mode!r} (expected 'tukey' or 'mean')")
+    key = readings.site if scope == "per-site" else np.full(len(readings), "__all__")
     report = OutlierReport(factor=factor, mode=mode, scope=scope)
-    kept = []
-    for key in sorted(groups):
-        rows = groups[key]
-        values = np.array([r.pm25 for r in rows])
-        if len(rows) < 4:
-            report.groups[key] = GroupFences(
+    keep = np.ones(len(readings), dtype=bool)
+    for (name,), rows in _groups(key):
+        if rows.size < 4:
+            report.groups[name] = GroupFences(
                 math.nan, math.nan, math.nan, -math.inf, math.inf,
-                len(rows), 0, skipped=True,
+                rows.size, 0, skipped=True,
             )
-            kept.extend(rows)
             continue
+        values = readings.pm25[rows]
         q1, q3, iqr, lower, upper = _fences(values, factor, mode)
-        surviving = [r for r in rows if lower <= r.pm25 <= upper]
-        report.groups[key] = GroupFences(
-            q1, q3, iqr, lower, upper, len(rows), len(rows) - len(surviving)
+        inside = (lower <= values) & (values <= upper)
+        keep[rows] = inside
+        report.groups[name] = GroupFences(
+            q1, q3, iqr, lower, upper, rows.size, rows.size - int(inside.sum())
         )
-        kept.extend(surviving)
-    kept.sort(key=lambda r: (r.timestamp, r.site_id))
-    return kept, report
+    return readings.take(keep), report
+
+
+def _covariate_row(windspeed, winddir, *rest):
+    """Raw weather values in WEATHER_COLUMNS order as a COVARIATE_INPUT_COLUMNS
+    row: wind direction becomes a (sin, cos) pair, since it is circular."""
+    theta = math.radians(winddir)
+    return (windspeed, math.sin(theta), math.cos(theta), *rest)
 
 
 def load_weather_csv(path):
-    """Weather covariates keyed by UTC hour; one row per hour."""
+    """Hourly weather covariates; returns (hours, covariates).
+
+    One row per UTC hour, in file order: `hours` as integer hours since the
+    epoch and `covariates` as an (n, 7) matrix in COVARIATE_INPUT_COLUMNS
+    order.
+    """
     names = WEATHER_COLUMNS[1:]
     with open(path, newline="", encoding="utf-8") as handle:
         _, rows = _read_csv(handle, path, WEATHER_COLUMNS)
-        table = {}
+        hours, seen, covariates = [], set(), []
         for line_no, (stamp, *cells) in rows:
-            ts = _parse_timestamp(stamp, path, line_no)
-            if ts in table:
-                raise FormatError(f"{path}: line {line_no}: duplicate hour {ts.isoformat()}")
-            table[ts] = {
-                name: _number(cell, path, line_no, name)
-                for name, cell in zip(names, cells)
-            }
-    if not table:
+            hour = _parse_hour(stamp, path, line_no)
+            if hour in seen:
+                stamp = (EPOCH + hour * HOUR).isoformat()
+                raise FormatError(f"{path}: line {line_no}: duplicate hour {stamp}")
+            seen.add(hour)
+            hours.append(hour)
+            covariates.append(_covariate_row(*(
+                _number(cell, path, line_no, name) for name, cell in zip(names, cells)
+            )))
+    if not covariates:
         raise InputError(f"{path}: no usable weather rows")
-    return table
-
-
-def _with_winddir_encoding(covariates):
-    """The covariates plus wind direction as a (sin, cos) pair, since direction is circular."""
-    theta = math.radians(covariates["winddir"])
-    return {**covariates, "winddir_sin": math.sin(theta), "winddir_cos": math.cos(theta)}
+    return np.array(hours, dtype=np.int64), np.array(covariates)
 
 
 def join_weather(readings, weather):
     """Attach each reading's hourly covariates; readings with no match are dropped.
 
-    `weather` is a path or a table from load_weather_csv. Wind direction is
-    kept in degrees and additionally encoded as a (sin, cos) pair.
+    `weather` is a path or the (hours, covariates) pair load_weather_csv
+    returns. Returns (joined, number dropped).
     """
-    if not isinstance(weather, dict):
+    if not isinstance(weather, tuple):
         weather = load_weather_csv(weather)
-    joined, dropped = [], 0
-    for r in readings:
-        row = weather.get(r.timestamp)
-        if row is None:
-            dropped += 1
-            continue
-        joined.append(replace(r, covariates=_with_winddir_encoding(row)))
-    return joined, dropped
+    hours, covariates = weather
+    order = np.argsort(hours)
+    at = np.minimum(np.searchsorted(hours[order], readings.hour), hours.size - 1)
+    matched = hours[order[at]] == readings.hour
+    joined = replace(readings.take(matched), covariates=covariates[order[at[matched]]])
+    return joined, len(readings) - len(joined)
 
 
 def load_query_csv(path, columns):
-    """Query readings for a model with input `columns`; returns (readings, ignored).
+    """Query readings for a model with input `columns`; returns (Readings, ignored).
 
     The file needs latitude, longitude and timestamp, plus the raw weather
     column behind each covariate in `columns`; site_id is optional and
-    defaults to q<line>. Readings carry a NaN target. `ignored` lists the
+    defaults to q<line>. Rows stay in file order and carry a NaN target;
+    covariates the model does not use are NaN. `ignored` lists the
     header's other columns, pm2_5 excepted.
     """
     weather = []
@@ -304,31 +343,48 @@ def load_query_csv(path, columns):
     with open(path, newline="", encoding="utf-8") as handle:
         header, rows = _read_csv(handle, path, required, optional=("site_id",))
         has_site = "site_id" in header
-        readings = []
+        sites, lats, lons, hours, covariates = [], [], [], [], []
         for line_no, cells in rows:
             lat, lon, stamp = cells[:3]
-            covs = None
             if weather:
-                covs = {
+                raw = {
                     name: _number(cell, path, line_no, name)
                     for name, cell in zip(weather, cells[3:])
                 }
-                if "winddir" in covs:
-                    covs = _with_winddir_encoding(covs)
-            readings.append(
-                SensorReading(
-                    cells[-1].strip() if has_site else f"q{line_no}",
-                    _number(lat, path, line_no, "latitude"),
-                    _number(lon, path, line_no, "longitude"),
-                    _parse_timestamp(stamp, path, line_no),
-                    math.nan,
-                    covs,
-                )
-            )
-    if not readings:
+                covariates.append(_covariate_row(
+                    *(raw.get(name, math.nan) for name in WEATHER_COLUMNS[1:])
+                ))
+            sites.append(cells[-1].strip() if has_site else f"q{line_no}")
+            lats.append(_number(lat, path, line_no, "latitude"))
+            lons.append(_number(lon, path, line_no, "longitude"))
+            hours.append(_parse_hour(stamp, path, line_no))
+    if not sites:
         raise InputError(f"{path}: no query rows")
     ignored = sorted(set(header) - set(required) - {"site_id", "pm2_5"})
+    readings = Readings(
+        np.array(sites), np.array(lats), np.array(lons),
+        np.array(hours, dtype=np.int64), np.full(len(sites), math.nan),
+        np.array(covariates) if weather else None,
+    )
     return readings, ignored
+
+
+def _inputs(readings, columns, t0):
+    """The raw input columns of `readings`, with time in hours since t0."""
+    t0_hours = (t0 - EPOCH) / HOUR
+    stacked = []
+    for name in columns:
+        if name == "lat":
+            stacked.append(readings.lat)
+        elif name == "lon":
+            stacked.append(readings.lon)
+        elif name == "time_h":
+            stacked.append(readings.hour - t0_hours)
+        elif readings.covariates is None:
+            raise InputError(f"readings lack covariate {name!r}")
+        else:
+            stacked.append(readings.covariates[:, COVARIATE_INPUT_COLUMNS.index(name)])
+    return np.column_stack(stacked)
 
 
 @dataclass
@@ -358,30 +414,10 @@ class Dataset:
 
     def encode_inputs(self, readings):
         """Design-matrix rows for new readings, using this dataset's statistics."""
-        raw = _raw_matrix(readings, self.columns, self.t0)
-        return (raw - self.col_mean) / self.col_scale
+        return (_inputs(readings, self.columns, self.t0) - self.col_mean) / self.col_scale
 
     def decode_targets(self, values):
         return np.asarray(values, dtype=float) * self.y_scale + self.y_mean
-
-
-def _raw_matrix(readings, columns, t0):
-    rows = np.empty((len(readings), len(columns)))
-    for i, r in enumerate(readings):
-        for j, name in enumerate(columns):
-            if name == "lat":
-                rows[i, j] = r.latitude
-            elif name == "lon":
-                rows[i, j] = r.longitude
-            elif name == "time_h":
-                rows[i, j] = (r.timestamp - t0).total_seconds() / 3600.0
-            else:
-                if not r.covariates or name not in r.covariates:
-                    raise InputError(
-                        f"reading at {r.site_id}/{r.timestamp.isoformat()} lacks covariate {name!r}"
-                    )
-                rows[i, j] = r.covariates[name]
-    return rows
 
 
 def build_dataset(readings, include_covariates=False):
@@ -391,15 +427,15 @@ def build_dataset(readings, include_covariates=False):
     covariate block when requested. Constant columns keep scale 1 so the
     transform stays invertible.
     """
-    if not readings:
+    if not len(readings):
         raise InputError("cannot build a dataset from zero readings")
     columns = BASE_INPUT_COLUMNS + (COVARIATE_INPUT_COLUMNS if include_covariates else ())
-    t0 = min(r.timestamp for r in readings)
-    raw = _raw_matrix(readings, columns, t0)
+    t0 = EPOCH + int(readings.hour.min()) * HOUR
+    raw = _inputs(readings, columns, t0)
     col_mean = raw.mean(axis=0)
     col_scale = raw.std(axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    targets = np.array([r.pm25 for r in readings])
+    targets = readings.pm25
     y_mean = float(targets.mean())
     y_scale = float(targets.std()) or 1.0
     return Dataset(
@@ -431,33 +467,22 @@ class SummaryStats:
 
 
 def summary_stats(readings):
-    by_site_hour = {}
-    by_hour = {}
-    for r in readings:
-        hour = r.timestamp.hour
-        by_site_hour.setdefault(r.site_id, {}).setdefault(hour, []).append(r.pm25)
-        by_hour.setdefault(hour, []).append(r.pm25)
-
+    hour_of_day = readings.hour % 24
     boxes, site_means = {}, {}
-    for site, hours in sorted(by_site_hour.items()):
-        site_boxes = []
-        means = {}
-        for hour in sorted(hours):
-            values = np.array(hours[hour])
-            means[hour] = float(values.mean())
-            q1 = float(np.percentile(values, 25))
-            q3 = float(np.percentile(values, 75))
-            iqr = q3 - q1
-            lower, upper = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-            outliers = sorted(float(v) for v in values if v < lower or v > upper)
-            site_boxes.append(
-                HourOfDayBox(
-                    hour, len(values), float(np.median(values)), q1, q3, lower, upper, outliers
-                )
+    for (site, hour), rows in _groups(readings.site, hour_of_day):
+        values = readings.pm25[rows]
+        q1, q3, _, lower, upper = _fences(values, 1.5, "tukey")
+        outliers = sorted(float(v) for v in values if v < lower or v > upper)
+        boxes.setdefault(site, []).append(
+            HourOfDayBox(
+                hour, rows.size, float(np.median(values)), q1, q3, lower, upper, outliers
             )
-        boxes[site] = site_boxes
-        site_means[site] = means
-    overall = {hour: float(np.mean(values)) for hour, values in sorted(by_hour.items())}
+        )
+        site_means.setdefault(site, {})[hour] = float(values.mean())
+    overall = {
+        hour: float(np.mean(readings.pm25[rows]))
+        for (hour,), rows in _groups(hour_of_day)
+    }
     return SummaryStats(boxes, site_means, overall)
 
 
@@ -482,8 +507,8 @@ class SynthConfig:
 
 @dataclass
 class SynthResult:
-    readings: list
-    latents: list       # noise-free field value aligned with readings
+    readings: Readings
+    latents: np.ndarray     # noise-free field value aligned with readings
     config: SynthConfig
 
 
@@ -493,7 +518,7 @@ def synth_generate(config=None, **overrides):
     The latent field is a squared-exponential GP draw over random site
     locations plus two sinusoids; observations add Gaussian noise and
     exponentially-sized positive spikes at Poisson-thinned cells.
-    Deterministic per seed.
+    Deterministic per seed; readings start at the hour holding `start`.
     """
     config = replace(config or SynthConfig(), **overrides)
     if config.sites < 1 or config.days < 1:
@@ -528,17 +553,10 @@ def synth_generate(config=None, **overrides):
     )
     observed_mask = rng.random((T, S)) >= config.missing_rate
 
-    readings, latents = [], []
-    site_ids = [f"site{idx:03d}" for idx in range(S)]
-    for t in range(T):
-        ts = config.start + timedelta(hours=int(t))
-        for s in range(S):
-            if not observed_mask[t, s]:
-                continue
-            latent = config.base_level + site_offset[s] + daily[t] + weekly[t]
-            value = latent + noise[t, s] + spikes[t, s]
-            readings.append(
-                SensorReading(site_ids[s], float(lat[s]), float(lon[s]), ts, float(value))
-            )
-            latents.append(float(latent))
+    t, s = np.nonzero(observed_mask)
+    latents = config.base_level + site_offset[s] + daily[t] + weekly[t]
+    readings = Readings(
+        np.array([f"site{idx:03d}" for idx in range(S)])[s], lat[s], lon[s],
+        _hour_of(config.start) + t, latents + noise[t, s] + spikes[t, s],
+    )
     return SynthResult(readings, latents, config)

@@ -14,7 +14,6 @@ never touched.
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from datetime import timedelta
 
 import numpy as np
 
@@ -172,11 +171,11 @@ def _build_kernel(columns, config):
     ) + kernels_mod.ActiveDims((time_dim,), periodic)
 
 
-def _clean_training(train_readings, config):
+def _clean_training(train, config):
     if not config.clean_outliers:
-        return train_readings
+        return train
     cleaned, _ = data_mod.remove_outliers(
-        train_readings,
+        train,
         factor=config.outlier_factor,
         scope=config.outlier_scope,
         mode=config.outlier_mode,
@@ -214,13 +213,12 @@ def fit_model(dataset, config, seed):
     return model, model.fit(opts)
 
 
-def _fit_and_predict(train_readings, test_readings, config, seed):
-    """Train one model per the config and return predicted means in µg/m³."""
-    dataset = data_mod.build_dataset(
-        train_readings, include_covariates=config.additional_inputs
-    )
+def _fit_and_predict(train, test, config, seed):
+    """Train one model on the `train` readings and return predicted means in
+    µg/m³ for the `test` readings."""
+    dataset = data_mod.build_dataset(train, include_covariates=config.additional_inputs)
     model, _ = fit_model(dataset, config, seed)
-    prediction = model.predict(dataset.encode_inputs(test_readings))
+    prediction = model.predict(dataset.encode_inputs(test))
     return dataset.decode_targets(prediction.mean)
 
 
@@ -244,23 +242,22 @@ def _finalize(protocol, config, site_reps, pooled_reps, fold_seconds, omitted):
 def nowcast_loo(readings, config):
     """Leave-one-site-out: train on every other site, predict the held-out one."""
     config = config.resolved()
-    sites = sorted({r.site_id for r in readings})
+    sites = np.unique(readings.site).tolist()
     if len(sites) < 2:
         raise ProtocolError("leave-one-site-out needs at least 2 sites")
 
     def run_fold(site):
         start = time.perf_counter()
-        test = [r for r in readings if r.site_id == site]
-        train = [r for r in readings if r.site_id != site]
-        train = _clean_training(train, config)
-        if not train:
+        held = readings.site == site
+        test = readings.take(held)
+        train = _clean_training(readings.take(~held), config)
+        if not len(train):
             raise ProtocolError(f"fold {site!r} has an empty training set")
-        truth = [r.pm25 for r in test]
         fold_rmses, fold_errors = [], []
         for seed in config.seeds:
             mean = _fit_and_predict(train, test, config, seed)
-            fold_rmses.append(rmse(mean, truth))
-            fold_errors.append(np.asarray(mean) - np.asarray(truth))
+            fold_rmses.append(rmse(mean, test.pm25))
+            fold_errors.append(mean - test.pm25)
         return site, fold_rmses, fold_errors, time.perf_counter() - start
 
     # the folds' small matrices gain nothing from BLAS threads; the pool gets the cores
@@ -285,38 +282,28 @@ def nowcast_loo(readings, config):
 def forecast_holdout(readings, config):
     """Hold out the final 24 hours everywhere; train once, score per site."""
     config = config.resolved()
-    last = max(r.timestamp for r in readings)
-    first = min(r.timestamp for r in readings)
-    if last - first < timedelta(hours=24):
+    last = int(readings.hour.max())
+    if last - int(readings.hour.min()) < 24:
         raise ProtocolError("forecasting needs at least 2 distinct days of data")
-    cutoff = last - timedelta(hours=24)
-    train = [r for r in readings if r.timestamp <= cutoff]
-    test = [r for r in readings if r.timestamp > cutoff]
-    if not train or not test:
-        raise ProtocolError("the final-day split produced an empty partition")
-    train = _clean_training(train, config)
+    final_day = readings.hour > last - 24
+    train = _clean_training(readings.take(~final_day), config)
+    test = readings.take(final_day)
+    test = test.take(np.argsort(test.site, kind="stable"))   # grouped by site
+    sites, counts = np.unique(test.site, return_counts=True)
+    site_order = sites.tolist()
+    omitted = sorted(set(train.site.tolist()) - set(site_order))
 
-    test_by_site = {}
-    for r in test:
-        test_by_site.setdefault(r.site_id, []).append(r)
-    train_sites = {r.site_id for r in train}
-    omitted = sorted(train_sites - set(test_by_site))
-
-    site_order = sorted(test_by_site)
     start = time.perf_counter()
     site_reps = {site: [] for site in site_order}
     pooled = []
     # serial fits still lose time when numpy's and scipy's BLAS pools contend
     with linalg.single_threaded_blas():
         for seed in config.seeds:
-            all_test = [r for site in site_order for r in test_by_site[site]]
-            mean = _fit_and_predict(train, all_test, config, seed)
-            truth = np.array([r.pm25 for r in all_test])
-            pooled.append(rmse(mean, truth))
+            mean = _fit_and_predict(train, test, config, seed)
+            pooled.append(rmse(mean, test.pm25))
             at = 0
-            for site in site_order:
-                k = len(test_by_site[site])
-                site_reps[site].append(rmse(mean[at:at + k], truth[at:at + k]))
+            for site, k in zip(site_order, counts):
+                site_reps[site].append(rmse(mean[at:at + k], test.pm25[at:at + k]))
                 at += k
     seconds = {"all": time.perf_counter() - start}
     return _finalize("forecast", config, site_reps, pooled, seconds, omitted)

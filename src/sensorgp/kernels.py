@@ -180,16 +180,6 @@ class Kernel:
 
     # -- sugar -------------------------------------------------------------
 
-    def __call__(self, x, x2=None):
-        """Evaluate a single covariance for 1-D inputs, or the Gram matrix for 2-D."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            x2 = x if x2 is None else np.asarray(x2, dtype=float)
-            if x2.ndim > 1 or np.atleast_1d(x).shape != np.atleast_1d(x2).shape:
-                raise InputError("point evaluation needs two vectors of equal length")
-            return float(self.gram(np.atleast_1d(x)[None, :], np.atleast_1d(x2)[None, :])[0, 0])
-        return self.gram(x, x2)
-
     def __add__(self, other):
         return Sum(self, other)
 
@@ -244,16 +234,16 @@ class SquaredExponential(_Leaf):
         return np.exp(self.log_lengthscale)
 
     def _base(self, X, X2, paired):
-        return self._squares(_differences(X, X2, paired))
-
-    def _squares(self, diff):
         width = np.atleast_1d(self.log_lengthscale).size
-        if self.ard and diff.shape[-1] != width:
-            raise InputError(f"ARD kernel built for {width} dims, got {diff.shape[-1]}")
-        sq = diff**2
-        if self.ard:
-            return np.moveaxis(sq, -1, 0).copy()   # each column's block contiguous
-        return np.sum(sq, axis=-1)[None]
+        if self.ard and X.shape[1] != width:
+            raise InputError(f"ARD kernel built for {width} dims, got {X.shape[1]}")
+        # column-major differences, (d, n, m) in C order, squared in place: each
+        # column's block is contiguous and the sum adds whole blocks in column
+        # order, with no (n, m, d) temporaries
+        A, B = (X.T, X2.T) if paired else (X.T[:, :, None], X2.T[:, None, :])
+        sq = np.subtract(A, B, order="C")
+        np.square(sq, out=sq)
+        return sq if self.ard else np.sum(sq, axis=0, keepdims=True)
 
     def _forward(self, base):
         # in place: each fresh n x n temporary costs about as much as the
@@ -271,9 +261,8 @@ class SquaredExponential(_Leaf):
         yield from zip(np.atleast_1d(self.lengthscale) ** -2.0, base)
 
     def _grad_x(self, X, X2):
-        diff = _differences(X, X2, False)
-        K = self._forward(self._squares(diff))[0]
-        return -K[..., None] * diff / np.atleast_1d(self.lengthscale) ** 2
+        K = self._forward(self._base(X, X2, False))[0]
+        return -K[..., None] * _differences(X, X2, False) / np.atleast_1d(self.lengthscale) ** 2
 
     def _get_params(self):
         if self.ard:

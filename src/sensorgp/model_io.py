@@ -85,7 +85,7 @@ class LoadedModel:
         self.model = model
 
     def predict_readings(self, readings):
-        """Means and standard deviations in original units for query readings."""
+        """Means and standard deviations in original units for a Readings table."""
         dataset = self.model.dataset
         prediction = self.model.predict(dataset.encode_inputs(readings))
         mean = dataset.decode_targets(prediction.mean)

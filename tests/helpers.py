@@ -6,9 +6,17 @@ Everything here deliberately avoids the library's own linear algebra
 independent routes to the same number.
 """
 
+import csv
+import math
 import time
+from datetime import datetime, timezone
 
 import numpy as np
+
+from sensorgp.data import EPOCH, HOUR, Readings
+
+# 2021-11-01T00:00Z in hours since the epoch; table() counts hours from it
+START_HOUR = 454368
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -115,15 +123,155 @@ def filter_doubling_ratio(model, n_steps, pairs=7):
 
 def filter_with_fences(readings, report):
     """Readings inside a previous OutlierReport's frozen fences."""
-    kept = []
-    for r in readings:
-        key = r.site_id if report.scope == "per-site" else "__all__"
+    keep = []
+    for site, value in zip(readings.site, readings.pm25):
+        key = site if report.scope == "per-site" else "__all__"
         fences = report.groups.get(key)
-        if fences is None or fences.skipped or fences.lower <= r.pm25 <= fences.upper:
-            kept.append(r)
-    return kept
+        keep.append(fences is None or fences.skipped or fences.lower <= value <= fences.upper)
+    return readings.take(np.array(keep, dtype=bool))
+
+
+def table(rows, covariates=None):
+    """A Readings table from (site, lat, lon, hour, pm2.5) rows, with hours
+    counted from START_HOUR, in (hour, site) order."""
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][3], rows[i][0]))
+    site, lat, lon, hour, pm25 = zip(*(rows[i] for i in order))
+    return Readings(
+        np.array(site), np.array(lat, dtype=float), np.array(lon, dtype=float),
+        START_HOUR + np.array(hour, dtype=np.int64), np.array(pm25, dtype=float),
+        None if covariates is None else np.asarray(covariates, dtype=float)[order],
+    )
+
+
+def rows_of(readings):
+    """A Readings table as a list of (site, lat, lon, hour, pm2.5) tuples."""
+    return list(zip(
+        readings.site.tolist(), readings.lat.tolist(), readings.lon.tolist(),
+        readings.hour.tolist(), readings.pm25.tolist(),
+    ))
+
+
+def hour_of(ts):
+    """A UTC datetime as whole hours since the epoch."""
+    return (ts - EPOCH) // HOUR
 
 
 def raw_inputs(dataset):
     """A Dataset's design matrix in original units."""
     return dataset.X * dataset.col_scale + dataset.col_mean
+
+
+# -- per-row reference readers for the CSV loaders --------------------------
+
+
+class LineError(Exception):
+    """A reference reader rejected the file at `line` (the header is line 1)."""
+
+    def __init__(self, line):
+        super().__init__(line)
+        self.line = line
+
+
+def reference_hour(text):
+    """An ISO-8601 timestamp as whole UTC hours since the epoch; naive means UTC."""
+    ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return math.floor(ts.timestamp() / 3600)
+
+
+def _reference_records(path):
+    """(line, {column: cell}) for each non-blank data row of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    header = [h.strip() for h in rows[0]]
+    return [
+        (line, dict(zip(header, row)))
+        for line, row in enumerate(rows[1:], start=2)
+        if "".join(row).strip()
+    ]
+
+
+def _reference_number(text, line):
+    try:
+        value = float(text)
+    except ValueError:
+        raise LineError(line) from None
+    if not math.isfinite(value):
+        raise LineError(line)
+    return value
+
+
+def _reference_timestamp(text, line):
+    try:
+        return reference_hour(text)
+    except ValueError:
+        raise LineError(line) from None
+
+
+def reference_covariates(windspeed, winddir, windgust, humidity, temp, precip):
+    """One row in COVARIATE_INPUT_COLUMNS order."""
+    theta = math.radians(winddir)
+    return [windspeed, math.sin(theta), math.cos(theta), windgust, humidity, temp, precip]
+
+
+def reference_sensor_csv(path):
+    """What load_sensor_csv should return, row by row: (rows, (rows read,
+    bad values dropped, duplicates averaged)), where rows are (site, lat,
+    lon, hour, pm2.5) sorted by (hour, site), duplicates averaged in file
+    order with the first row's coordinates. Raises LineError."""
+    merged, read, dropped = {}, 0, 0
+    for line, cells in _reference_records(path):
+        read += 1
+        try:
+            value = float(cells["pm2_5"])
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            dropped += 1
+            continue
+        hour = _reference_timestamp(cells["timestamp"], line)
+        lat = _reference_number(cells["latitude"], line)
+        lon = _reference_number(cells["longitude"], line)
+        merged.setdefault((hour, cells["site_id"].strip()), (lat, lon, []))[2].append(value)
+    rows = [
+        (site, lat, lon, hour, sum(values) / len(values))
+        for (hour, site), (lat, lon, values) in sorted(merged.items())
+    ]
+    kept = read - dropped
+    return rows, (read, dropped, kept - len(rows))
+
+
+def reference_weather_csv(path):
+    """What load_weather_csv should return, row by row: ([hours], [covariate
+    rows]) in file order. Raises LineError."""
+    hours, covariates = [], []
+    for line, cells in _reference_records(path):
+        hour = _reference_timestamp(cells["timestamp"], line)
+        if hour in hours:
+            raise LineError(line)
+        values = [
+            _reference_number(cells[name], line)
+            for name in ("windspeed", "winddir", "windgust", "humidity", "temp", "precip")
+        ]
+        hours.append(hour)
+        covariates.append(reference_covariates(*values))
+    return hours, covariates
+
+
+def reference_query_csv(path, with_covariates):
+    """What load_query_csv should return, row by row: [(site, lat, lon, hour,
+    covariate row or None)] in file order. Raises LineError."""
+    weather = ("windspeed", "winddir", "windgust", "humidity", "temp", "precip")
+    rows = []
+    for line, cells in _reference_records(path):
+        covariates = None
+        if with_covariates:
+            covariates = reference_covariates(
+                *(_reference_number(cells[name], line) for name in weather)
+            )
+        site = cells["site_id"].strip() if "site_id" in cells else f"q{line}"
+        lat = _reference_number(cells["latitude"], line)
+        lon = _reference_number(cells["longitude"], line)
+        rows.append((site, lat, lon, _reference_timestamp(cells["timestamp"], line), covariates))
+    return rows

@@ -6,7 +6,6 @@ failing test.
 """
 
 import json
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from helpers import (
     filter_doubling_ratio,
     filter_with_fences,
     separable_gram,
+    table,
 )
 from sensorgp import data as data_mod
 from sensorgp import evaluation as eval_mod
@@ -265,14 +265,10 @@ def _dense_separable(spatial, temporal, X, y, noise, mean, Xq):
 
 
 def test_tukey_filter_worked_example():
-    start = datetime(2021, 11, 1, tzinfo=timezone.utc)
-    readings = [
-        data_mod.SensorReading("s", 0.0, 32.0, start + timedelta(hours=h), v, None)
-        for h, v in enumerate([1.0, 2.0, 3.0, 4.0, 100.0])
-    ]
+    readings = table([("s", 0.0, 32.0, h, v) for h, v in enumerate([1.0, 2.0, 3.0, 4.0, 100.0])])
     kept, report = data_mod.remove_outliers(readings, factor=1.5)
     fences = report.groups["s"]
-    survivors = sorted(r.pm25 for r in kept)
+    survivors = sorted(kept.pm25.tolist())
     again = filter_with_fences(kept, report)
 
     ok = (
@@ -281,7 +277,7 @@ def test_tukey_filter_worked_example():
         and fences.lower == pytest.approx(-1.0)
         and fences.upper == pytest.approx(7.0)
         and survivors == [1.0, 2.0, 3.0, 4.0]
-        and [r.pm25 for r in again] == survivors
+        and again.pm25.tolist() == survivors
     )
     verdict(
         "criterion 6: Tukey fences [-1, 7] drop exactly the 100, idempotent",

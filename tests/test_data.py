@@ -6,7 +6,7 @@ import pytest
 
 from sensorgp import data
 from sensorgp.errors import FormatError, InputError
-from helpers import filter_with_fences, raw_inputs
+from helpers import START_HOUR, filter_with_fences, hour_of, raw_inputs, rows_of, table
 
 
 def write_csv(path, rows, header=data.SENSOR_COLUMNS):
@@ -30,12 +30,12 @@ def test_load_basic_and_sorting(tmp_path):
         ],
     )
     readings, report = data.load_sensor_csv(p)
-    assert [r.site_id for r in readings] == ["a", "a", "b"]
+    assert readings.site.tolist() == ["a", "a", "b"]
     assert report.rows_read == 3
     assert report.dropped_bad_value == 0
-    assert readings[0].timestamp == datetime(2021, 11, 1, 4, tzinfo=timezone.utc)
-    assert readings[0].pm25 == 11.0
-    assert readings[0].latitude == 0.30
+    assert readings.hour[0] == hour_of(datetime(2021, 11, 1, 4, tzinfo=timezone.utc))
+    assert readings.pm25[0] == 11.0
+    assert readings.lat[0] == 0.30
 
 
 def test_load_drops_unparseable_values(tmp_path):
@@ -69,8 +69,8 @@ def test_load_averages_duplicate_site_hours(tmp_path):
     readings, report = data.load_sensor_csv(p)
     assert len(readings) == 2
     assert report.duplicates_averaged == 1
-    assert readings[0].pm25 == pytest.approx(12.0)
-    assert readings[0].timestamp.minute == 0  # floored to the hour
+    assert readings.pm25[0] == pytest.approx(12.0)
+    assert readings.hour[0] == START_HOUR  # floored to the hour
 
 
 def test_load_timestamp_forms(tmp_path):
@@ -85,9 +85,7 @@ def test_load_timestamp_forms(tmp_path):
         ],
     )
     readings, _ = data.load_sensor_csv(p)
-    hours = [r.timestamp.hour for r in readings]
-    assert hours == [0, 1, 2, 3]
-    assert all(r.timestamp.tzinfo is timezone.utc for r in readings)
+    assert (readings.hour - START_HOUR).tolist() == [0, 1, 2, 3]
 
 
 def test_load_bad_timestamp_names_line(tmp_path):
@@ -132,7 +130,7 @@ def test_load_extra_columns_tolerated(tmp_path):
         "a,0.3,32.5,2021-11-01T00:00:00Z,7.5,88\n"
     )
     readings, _ = data.load_sensor_csv(p)
-    assert len(readings) == 1 and readings[0].pm25 == 7.5
+    assert len(readings) == 1 and readings.pm25[0] == 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +138,34 @@ def test_load_extra_columns_tolerated(tmp_path):
 
 
 def make_reading(site, hour, value, lat=0.3, lon=32.5):
-    return data.SensorReading(
-        site, lat, lon, datetime(2021, 11, 1, tzinfo=timezone.utc).replace(hour=hour % 24), value
-    )
+    return (site, lat, lon, hour, value)
 
 
 def test_drop_sparse_sites():
-    readings = []
+    rows = []
     for site, count in (("a", 6), ("b", 3), ("c", 6), ("d", 1)):
-        readings += [make_reading(site, h, 10.0) for h in range(count)]
+        rows += [make_reading(site, h, 10.0) for h in range(count)]
+    readings = table(rows)
     kept, dropped = data.drop_sparse_sites(readings, min_count=5)
-    assert sorted({r.site_id for r in kept}) == ["a", "c"]
-    assert sorted(dropped) == ["b", "d"]
-    assert data.drop_sparse_sites(readings, min_count=0)[0] == sorted(
-        readings, key=lambda r: (r.timestamp, r.site_id)
-    ) or len(data.drop_sparse_sites(readings, min_count=0)[0]) == len(readings)
+    assert sorted(set(kept.site.tolist())) == ["a", "c"]
+    assert dropped == ["b", "d"]
+    assert rows_of(data.drop_sparse_sites(readings, min_count=0)[0]) == rows_of(readings)
 
 
 # ---------------------------------------------------------------------------
 # outlier fences
 
 
-def fence_data(values, site="a"):
+def fence_rows(values, site="a"):
     return [make_reading(site, i, v) for i, v in enumerate(values)]
+
+
+def fence_data(values, site="a"):
+    return table(fence_rows(values, site))
+
+
+def total_removed(report):
+    return sum(g.removed for g in report.groups.values())
 
 
 def test_tukey_fences_worked_example():
@@ -172,8 +175,8 @@ def test_tukey_fences_worked_example():
     assert g.q3 == pytest.approx(4.0)
     assert g.lower == pytest.approx(-1.0)
     assert g.upper == pytest.approx(7.0)
-    assert [r.pm25 for r in kept] == [1.0, 2.0, 3.0, 4.0]
-    assert report.total_removed == 1
+    assert kept.pm25.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert total_removed(report) == 1
     assert sum(g.count for g in report.groups.values()) == 5
 
 
@@ -181,16 +184,16 @@ def test_fences_frozen_reapplication_idempotent():
     readings = fence_data([1.0, 2.0, 3.0, 4.0, 100.0, -50.0])
     kept, report = data.remove_outliers(readings)
     again = filter_with_fences(kept, report)
-    assert again == kept
+    assert rows_of(again) == rows_of(kept)
     # and the original filtered through the frozen fences gives the same survivors
-    assert filter_with_fences(readings, report) == kept
+    assert rows_of(filter_with_fences(readings, report)) == rows_of(kept)
 
 
 def test_infinite_factor_removes_nothing():
     readings = fence_data([1.0, 2.0, 3.0, 4.0, 1e6])
     kept, report = data.remove_outliers(readings, factor=math.inf)
     assert len(kept) == 5
-    assert report.total_removed == 0
+    assert total_removed(report) == 0
 
 
 def test_identical_values_not_removed():
@@ -206,7 +209,7 @@ def test_small_groups_skipped():
 
 
 def test_per_site_vs_global_scope():
-    readings = fence_data([10.0] * 8) + fence_data([1000.0] * 8, site="b")
+    readings = table(fence_rows([10.0] * 8) + fence_rows([1000.0] * 8, site="b"))
     kept_ps, rep_ps = data.remove_outliers(readings, scope="per-site")
     assert len(kept_ps) == 16  # each site is self-consistent
     kept_g, rep_g = data.remove_outliers(readings, scope="global")
@@ -221,6 +224,14 @@ def test_mean_mode_centers_on_mean():
     g = rep_mean.groups["a"]
     # fences centered on the mean (2.0) with half-width factor*IQR
     assert (g.lower + g.upper) / 2.0 == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], []], ids=["small-group", "empty"])
+def test_unknown_mode_rejected_up_front(values):
+    # no group reaches four readings, so no fence is ever computed
+    readings = fence_data(values) if values else fence_data([1.0]).take(np.zeros(0, int))
+    with pytest.raises(InputError, match="unknown outlier mode 'median'"):
+        data.remove_outliers(readings, mode="median")
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +251,24 @@ def test_join_weather_full_coverage(tmp_path):
     wpath = tmp_path / "w.csv"
     write_weather(wpath, range(4))
     weather = data.load_weather_csv(wpath)
-    readings = [make_reading("a", h, 10.0 + h) for h in range(4)]
+    readings = table([make_reading("a", h, 10.0 + h) for h in range(4)])
     joined, dropped = data.join_weather(readings, weather)
     assert dropped == 0
-    r = joined[2]
-    assert r.covariates["windspeed"] == pytest.approx(4.0)
+    row = dict(zip(data.COVARIATE_INPUT_COLUMNS, joined.covariates[2]))
+    assert row["windspeed"] == pytest.approx(4.0)
     # wind direction becomes a unit vector
-    assert r.covariates["winddir_sin"] == pytest.approx(np.sin(np.radians(90.0)))
-    assert r.covariates["winddir_cos"] == pytest.approx(np.cos(np.radians(90.0)), abs=1e-12)
+    assert row["winddir_sin"] == pytest.approx(np.sin(np.radians(90.0)))
+    assert row["winddir_cos"] == pytest.approx(np.cos(np.radians(90.0)), abs=1e-12)
 
 
 def test_join_weather_drops_unmatched_hours(tmp_path):
     wpath = tmp_path / "w.csv"
     write_weather(wpath, [0, 1, 3])
     weather = data.load_weather_csv(wpath)
-    readings = [make_reading("a", h, 10.0) for h in range(4)]
+    readings = table([make_reading("a", h, 10.0) for h in range(4)])
     joined, dropped = data.join_weather(readings, weather)
     assert dropped == 1
-    assert [r.timestamp.hour for r in joined] == [0, 1, 3]
+    assert (joined.hour - START_HOUR).tolist() == [0, 1, 3]
 
 
 @pytest.mark.parametrize(
@@ -289,25 +300,23 @@ def test_build_dataset_normalization_roundtrip():
     np.testing.assert_allclose(ds.X.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(ds.X.std(axis=0), 1.0, atol=1e-10)
     np.testing.assert_allclose(ds.y.mean(), 0.0, atol=1e-10)
-    raw = np.array([
-        [r.latitude, r.longitude, (r.timestamp - ds.t0).total_seconds() / 3600.0]
-        for r in res.readings
-    ])
+    r = res.readings
+    raw = np.column_stack([r.lat, r.lon, r.hour - hour_of(ds.t0)])
     np.testing.assert_allclose(raw_inputs(ds), raw, atol=1e-10)
-    values = np.array([r.pm25 for r in res.readings])
+    values = r.pm25
     np.testing.assert_allclose(ds.decode_targets(ds.y), values, atol=1e-10)
     np.testing.assert_allclose((values - ds.y_mean) / ds.y_scale, ds.y, atol=1e-12)
 
 
 def test_build_dataset_time_axis_in_hours():
-    readings = [make_reading("a", h, 10.0) for h in range(5)]
+    readings = table([make_reading("a", h, 10.0) for h in range(5)])
     ds = data.build_dataset(readings)
     t = raw_inputs(ds)[:, 2]
     np.testing.assert_allclose(np.diff(np.sort(t)), 1.0, atol=1e-12)
 
 
 def test_build_dataset_constant_column_scale_one():
-    readings = [make_reading("a", h, 10.0) for h in range(5)]
+    readings = table([make_reading("a", h, 10.0) for h in range(5)])
     ds = data.build_dataset(readings)
     # single site: lat and lon are constant, scale must fall back to 1.0
     assert ds.col_scale[0] == 1.0 and ds.col_scale[1] == 1.0
@@ -317,7 +326,7 @@ def test_build_dataset_with_covariates(tmp_path):
     wpath = tmp_path / "w.csv"
     write_weather(wpath, range(6))
     weather = data.load_weather_csv(wpath)
-    readings = [make_reading(s, h, 10.0 + h) for s in ("a", "b") for h in range(6)]
+    readings = table([make_reading(s, h, 10.0 + h) for s in ("a", "b") for h in range(6)])
     joined, _ = data.join_weather(readings, weather)
     ds = data.build_dataset(joined, include_covariates=True)
     assert tuple(ds.columns) == data.BASE_INPUT_COLUMNS + data.COVARIATE_INPUT_COLUMNS
@@ -325,7 +334,7 @@ def test_build_dataset_with_covariates(tmp_path):
 
 
 def test_build_dataset_missing_covariate_named():
-    readings = [make_reading("a", h, 10.0) for h in range(4)]
+    readings = table([make_reading("a", h, 10.0) for h in range(4)])
     with pytest.raises(InputError, match="windspeed"):
         data.build_dataset(readings, include_covariates=True)
 
@@ -351,17 +360,16 @@ def test_dataset_take_subset():
 
 def test_summary_stats_diurnal_peaks():
     # two sinusoidal bumps at hours 8 and 21, several days of data
-    readings = []
-    for day in range(1, 8):
+    rows = []
+    for day in range(7):
         for hour in range(24):
             value = (
                 40.0
                 + 10.0 * math.exp(-0.5 * ((hour - 8.0) / 2.0) ** 2)
                 + 12.0 * math.exp(-0.5 * ((hour - 21.0) / 2.0) ** 2)
             )
-            ts = datetime(2021, 11, day, hour, tzinfo=timezone.utc)
-            readings.append(data.SensorReading("a", 0.3, 32.5, ts, value))
-    stats = data.summary_stats(readings)
+            rows.append(make_reading("a", 24 * day + hour, value))
+    stats = data.summary_stats(table(rows))
     hours = sorted(stats.overall_hourly_mean)
     means = [stats.overall_hourly_mean[h] for h in hours]
     morning = max(range(0, 15), key=lambda h: means[h])
@@ -373,7 +381,7 @@ def test_summary_stats_diurnal_peaks():
 
 
 def test_summary_stats_constant_values():
-    readings = [make_reading("a", h, 5.0) for h in range(24)] * 4
+    readings = table([make_reading("a", h, 5.0) for h in range(24)] * 4)
     stats = data.summary_stats(readings)
     for box in stats.boxes["a"]:
         assert box.q1 == box.q3 == box.median == 5.0
@@ -387,17 +395,16 @@ def test_summary_stats_constant_values():
 def test_synth_deterministic():
     a = data.synth_generate(sites=4, days=2, seed=7)
     b = data.synth_generate(sites=4, days=2, seed=7)
-    assert [r.pm25 for r in a.readings] == [r.pm25 for r in b.readings]
-    assert [r.timestamp for r in a.readings] == [r.timestamp for r in b.readings]
+    assert rows_of(a.readings) == rows_of(b.readings)
     c = data.synth_generate(sites=4, days=2, seed=8)
-    assert [r.pm25 for r in c.readings] != [r.pm25 for r in a.readings]
+    assert c.readings.pm25.tolist() != a.readings.pm25.tolist()
 
 
 def test_synth_shapes_and_missingness():
     res = data.synth_generate(sites=5, days=3, seed=0, missing_rate=0.0)
     assert len(res.readings) == 5 * 72
     assert len(res.latents) == len(res.readings)
-    assert len({r.site_id for r in res.readings}) == 5
+    assert len(set(res.readings.site.tolist())) == 5
     res2 = data.synth_generate(sites=5, days=3, seed=0, missing_rate=0.4)
     frac = 1.0 - len(res2.readings) / (5 * 72)
     assert 0.25 < frac < 0.55
@@ -408,7 +415,7 @@ def test_synth_no_spikes_bounds_noise():
         sites=14, days=30, seed=5, spike_rate=0.0, missing_rate=0.0
     )
     assert len(res.readings) >= 10000
-    resid = np.array([r.pm25 for r in res.readings]) - np.array(res.latents)
+    resid = res.readings.pm25 - res.latents
     assert np.max(np.abs(resid)) <= 5.0 * res.config.noise_std
     assert np.std(resid) == pytest.approx(res.config.noise_std, rel=0.1)
 
@@ -417,9 +424,7 @@ def test_synth_spikes_positive_and_rare():
     cfg = dict(sites=10, days=10, seed=6, missing_rate=0.0)
     with_spikes = data.synth_generate(spike_rate=0.02, **cfg)
     without = data.synth_generate(spike_rate=0.0, **cfg)
-    delta = np.array([r.pm25 for r in with_spikes.readings]) - np.array(
-        [r.pm25 for r in without.readings]
-    )
+    delta = with_spikes.readings.pm25 - without.readings.pm25
     spiked = delta > 1e-9
     assert 0.005 < spiked.mean() < 0.05
     assert np.all(delta >= -1e-9)

@@ -1,18 +1,16 @@
 import math
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from sensorgp import evaluation as ev
 from sensorgp import linalg
-from sensorgp.data import SensorReading
 from sensorgp.errors import ConfigError, InputError, ProtocolError
+from helpers import table
 
 
 def mk(site, lat, lon, hours, value):
-    ts = datetime(2021, 11, 1, tzinfo=timezone.utc) + timedelta(hours=hours)
-    return SensorReading(site, lat, lon, ts, value)
+    return (site, lat, lon, hours, value)
 
 
 # a config whose model ignores its inputs: near-zero signal variance makes
@@ -106,7 +104,7 @@ def test_nowcast_mean_predictor_proves_exclusion():
     # with the mean predictor, the held-out site is scored against the other
     # site's mean; any leakage of the test site into training would shift it
     readings = two_constant_sites()
-    report = ev.nowcast_loo(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+    report = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
     assert set(report.per_site) == {"a", "b"}
     assert report.per_site["a"] == pytest.approx(10.0, abs=1e-5)
     assert report.per_site["b"] == pytest.approx(10.0, abs=1e-5)
@@ -120,7 +118,7 @@ def test_nowcast_mean_predictor_matches_test_std():
     values_b = rng.uniform(10, 60, size=40)
     readings = [mk("a", 0.3, 32.5, h, 30.0) for h in range(40)]
     readings += [mk("b", 0.4, 32.6, h, float(values_b[h])) for h in range(40)]
-    report = ev.nowcast_loo(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+    report = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
     # fold b trains on site a whose mean is exactly 30
     expected = float(np.sqrt(np.mean((values_b - 30.0) ** 2)))
     assert report.per_site["b"] == pytest.approx(expected, abs=1e-5)
@@ -129,7 +127,7 @@ def test_nowcast_mean_predictor_matches_test_std():
 def test_nowcast_needs_two_sites():
     readings = [mk("a", 0.3, 32.5, h, 10.0) for h in range(30)]
     with pytest.raises(ProtocolError):
-        ev.nowcast_loo(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+        ev.nowcast_loo(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
 
 
 def test_nowcast_duplicate_site_noiseless():
@@ -143,7 +141,7 @@ def test_nowcast_duplicate_site_noiseless():
         backend="exact", periodic=True, repetitions=1, seeds=(1,),
         budget=200, learning_rate=0.1, parallelism=2,
     )
-    report = ev.nowcast_loo(readings, cfg)
+    report = ev.nowcast_loo(table(readings), cfg)
     assert report.max_rmse <= 0.5
 
 
@@ -170,8 +168,8 @@ SMALL_SVGP = dict(
 )
 def test_nowcast_parallelism_does_not_change_results(readings, config):
     readings = readings()
-    r1 = ev.nowcast_loo(readings, ev.ExperimentConfig(**config))
-    r4 = ev.nowcast_loo(readings, ev.ExperimentConfig(**{**config, "parallelism": 4}))
+    r1 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**config))
+    r4 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**{**config, "parallelism": 4}))
     assert len(r1.per_site) > 1
     assert r1.per_site == r4.per_site
     assert r1.avg_rmse == r4.avg_rmse
@@ -208,7 +206,7 @@ def record_threads_per_fit(monkeypatch, threads):
 def test_nowcast_folds_run_on_one_blas_thread(monkeypatch, fake_blas):
     seen = record_threads_per_fit(monkeypatch, fake_blas)
     config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
-    report = ev.nowcast_loo(two_constant_sites(), config)
+    report = ev.nowcast_loo(table(two_constant_sites()), config)
     assert set(report.per_site) == {"a", "b"}
     assert seen == [{"numpy": 1, "scipy": 1}] * 2
     assert fake_blas == {"numpy": 2, "scipy": 3}
@@ -217,7 +215,7 @@ def test_nowcast_folds_run_on_one_blas_thread(monkeypatch, fake_blas):
 def test_forecast_fits_run_on_one_blas_thread(monkeypatch, fake_blas):
     seen = record_threads_per_fit(monkeypatch, fake_blas)
     config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2)})
-    report = ev.forecast_holdout(two_constant_sites(), config)
+    report = ev.forecast_holdout(table(two_constant_sites()), config)
     assert set(report.per_site) == {"a", "b"}
     assert seen == [{"numpy": 1, "scipy": 1}] * 2
     assert fake_blas == {"numpy": 2, "scipy": 3}
@@ -232,7 +230,7 @@ def test_forecast_mean_predictor_last_day_deviation():
     for h in range(72):  # 3 days; the final 24 hours are held out
         readings.append(mk("a", 0.3, 32.5, h, 20.0))
         readings.append(mk("b", 0.4, 32.6, h, 20.0 if h < 40 else 32.0))
-    report = ev.forecast_holdout(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+    report = ev.forecast_holdout(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
     # training rows are hours 0..47: site a all 20, site b 40x20 then 8x32
     train_mean = (48 * 20.0 + 40 * 20.0 + 8 * 32.0) / 96
     assert train_mean == 21.0
@@ -244,7 +242,7 @@ def test_forecast_single_day_rejected():
     readings = [mk("a", 0.3, 32.5, h, 10.0) for h in range(10)]
     readings += [mk("b", 0.4, 32.6, h, 12.0) for h in range(10)]
     with pytest.raises(ProtocolError):
-        ev.forecast_holdout(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+        ev.forecast_holdout(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
 
 
 def test_forecast_site_without_last_day_noted():
@@ -253,7 +251,7 @@ def test_forecast_site_without_last_day_noted():
         readings.append(mk("a", 0.3, 32.5, h, 20.0))
     for h in range(40):  # site b stops before the holdout window
         readings.append(mk("b", 0.4, 32.6, h, 25.0))
-    report = ev.forecast_holdout(readings, ev.ExperimentConfig(**MEAN_PREDICTOR))
+    report = ev.forecast_holdout(table(readings), ev.ExperimentConfig(**MEAN_PREDICTOR))
     assert report.omitted_sites == ["b"]
     assert set(report.per_site) == {"a"}
 
@@ -269,7 +267,7 @@ def test_forecast_periodic_noiseless_extrapolates():
         backend="exact", periodic=True, repetitions=1, seeds=(1,),
         budget=500, learning_rate=0.1,
     )
-    report = ev.forecast_holdout(readings, cfg)
+    report = ev.forecast_holdout(table(readings), cfg)
     assert report.max_rmse <= 1e-2
 
 
@@ -288,8 +286,8 @@ def test_forecast_outlier_flag_touches_training_only():
         readings.append(mk("b", 0.4, 32.6, h, w))
     base = ev.ExperimentConfig(**MEAN_PREDICTOR)
     cleaned = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "clean_outliers": True})
-    r0 = ev.forecast_holdout(readings, base)
-    r1 = ev.forecast_holdout(readings, cleaned)
+    r0 = ev.forecast_holdout(table(readings), base)
+    r1 = ev.forecast_holdout(table(readings), cleaned)
     # the cleaned run trains on a lower mean (spike removed)
     assert r1.per_site["a"] < r0.per_site["a"]
     # site b's test RMSE keeps the 400 test spike in both runs; with the
@@ -305,13 +303,10 @@ def test_forecast_denormalization_shift_invariance():
     vals = rng.uniform(20, 60, size=72)
     base = [mk("a", 0.3, 32.5, h, float(vals[h])) for h in range(72)]
     base += [mk("b", 0.4, 32.6, h, float(vals[h]) + 3.0) for h in range(72)]
-    shifted = [
-        SensorReading(r.site_id, r.latitude, r.longitude, r.timestamp, r.pm25 + 1000.0)
-        for r in base
-    ]
+    shifted = [(site, lat, lon, h, value + 1000.0) for site, lat, lon, h, value in base]
     cfg = ev.ExperimentConfig(**MEAN_PREDICTOR)
-    r0 = ev.forecast_holdout(base, cfg)
-    r1 = ev.forecast_holdout(shifted, cfg)
+    r0 = ev.forecast_holdout(table(base), cfg)
+    r1 = ev.forecast_holdout(table(shifted), cfg)
     for site in r0.per_site:
         assert r0.per_site[site] == pytest.approx(r1.per_site[site], abs=1e-8)
 
@@ -324,7 +319,7 @@ def test_run_matrix_single_config_both_protocols():
     readings = two_constant_sites() + [
         mk("a", 0.3, 32.5, h, 10.0) for h in range(30, 50)
     ] + [mk("b", 0.4, 32.6, h, 20.0) for h in range(30, 50)]
-    reports = ev.run_matrix(readings, [ev.ExperimentConfig(**MEAN_PREDICTOR)])
+    reports = ev.run_matrix(table(readings), [ev.ExperimentConfig(**MEAN_PREDICTOR)])
     assert [r.protocol for r in reports] == ["nowcast", "forecast"]
     rows = ev.comparison_rows(reports)
     assert len(rows) == 2
@@ -336,14 +331,14 @@ def test_run_matrix_deterministic():
         mk("a", 0.3, 32.5, h, 11.0) for h in range(30, 50)
     ] + [mk("b", 0.4, 32.6, h, 19.0) for h in range(30, 50)]
     cfgs = [ev.ExperimentConfig(**MEAN_PREDICTOR), ev.ExperimentConfig(**MEAN_PREDICTOR)]
-    reports = ev.run_matrix(readings, cfgs, protocols=("forecast",))
+    reports = ev.run_matrix(table(readings), cfgs, protocols=("forecast",))
     a, b = ev.comparison_rows(reports)
     assert a == b
 
 
 def test_run_matrix_validates():
     with pytest.raises(InputError):
-        ev.run_matrix(two_constant_sites(), [])
+        ev.run_matrix(table(two_constant_sites()), [])
     with pytest.raises(ConfigError):
         ev.run_matrix(
             two_constant_sites(),
@@ -359,7 +354,7 @@ def test_repetition_averaging_identity():
     cfg = ev.ExperimentConfig(
         **{**MEAN_PREDICTOR, "repetitions": 3, "seeds": (1, 2, 3)}
     )
-    report = ev.forecast_holdout(readings, cfg)
+    report = ev.forecast_holdout(table(readings), cfg)
     for site, vals in report.per_repetition.items():
         assert len(vals) == 3
         assert report.per_site[site] == pytest.approx(float(np.mean(vals)), abs=1e-12)
@@ -370,7 +365,7 @@ def test_comparison_text_table_layout(tmp_path):
     readings = two_constant_sites() + [
         mk("a", 0.3, 32.5, h, 10.0) for h in range(30, 50)
     ] + [mk("b", 0.4, 32.6, h, 20.0) for h in range(30, 50)]
-    reports = ev.run_matrix(readings, [ev.ExperimentConfig(**MEAN_PREDICTOR)])
+    reports = ev.run_matrix(table(readings), [ev.ExperimentConfig(**MEAN_PREDICTOR)])
     txt = tmp_path / "cmp.txt"
     csv = tmp_path / "cmp.csv"
     ev.write_comparison_text(reports, txt)

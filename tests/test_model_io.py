@@ -1,6 +1,4 @@
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -29,8 +27,8 @@ def test_exact_roundtrip(tmp_path, corpus):
     model_io.save_model(path, model, fit_info={"objective": -1.0, "iterations": 3})
     loaded = model_io.load_model(path)
     assert loaded.backend == "exact"
-    mean, lstd, ostd = loaded.predict_readings(readings[:20])
-    direct = model.predict(ds.encode_inputs(readings[:20]))
+    mean, lstd, ostd = loaded.predict_readings(readings.take(np.arange(20)))
+    direct = model.predict(ds.encode_inputs(readings.take(np.arange(20))))
     np.testing.assert_allclose(mean, ds.decode_targets(direct.mean), atol=1e-10)
     np.testing.assert_allclose(lstd**2, direct.latent_variance * ds.y_scale**2, atol=1e-8)
     np.testing.assert_allclose(ostd**2, direct.observed_variance * ds.y_scale**2, atol=1e-8)
@@ -47,8 +45,8 @@ def test_svgp_roundtrip(tmp_path, corpus):
     model_io.save_model(path, model)
     loaded = model_io.load_model(path)
     assert loaded.backend == "svgp"
-    mean, lstd, _ = loaded.predict_readings(readings[:30])
-    direct = model.predict(ds.encode_inputs(readings[:30]))
+    mean, lstd, _ = loaded.predict_readings(readings.take(np.arange(30)))
+    direct = model.predict(ds.encode_inputs(readings.take(np.arange(30))))
     np.testing.assert_allclose(mean, ds.decode_targets(direct.mean), atol=1e-9)
     np.testing.assert_allclose(lstd**2, direct.latent_variance * ds.y_scale**2, atol=1e-8)
 
@@ -63,8 +61,8 @@ def test_statespace_roundtrip(tmp_path, corpus):
     loaded = model_io.load_model(path)
     assert loaded.backend == "statespace"
     assert loaded.model.temporal.name == "matern32"
-    mean, lstd, _ = loaded.predict_readings(readings[:15])
-    direct = model.predict(ds.encode_inputs(readings[:15]))
+    mean, lstd, _ = loaded.predict_readings(readings.take(np.arange(15)))
+    direct = model.predict(ds.encode_inputs(readings.take(np.arange(15))))
     np.testing.assert_allclose(mean, ds.decode_targets(direct.mean), atol=1e-8)
 
 
@@ -94,8 +92,8 @@ def test_loaded_model_saves_the_same_file(tmp_path, corpus, backend):
     model_io.save_model(second, loaded.model)
     assert second.read_bytes() == first.read_bytes()
     # and the reloaded file serves the same predictions, bit for bit
-    again = model_io.load_model(second).predict_readings(readings[:10])
-    for a, b in zip(loaded.predict_readings(readings[:10]), again):
+    again = model_io.load_model(second).predict_readings(readings.take(np.arange(10)))
+    for a, b in zip(loaded.predict_readings(readings.take(np.arange(10))), again):
         np.testing.assert_array_equal(a, b)
 
 
@@ -104,13 +102,14 @@ def test_loaded_model_saves_the_same_file(tmp_path, corpus, backend):
 def test_non_finite_queries_rejected(tmp_path, corpus, backend, bad):
     readings, ds = corpus
     model = build(backend, ds)
-    Xq = ds.encode_inputs(readings[:3])
+    Xq = ds.encode_inputs(readings.take(np.arange(3)))
     Xq[1, 0] = bad
     with pytest.raises(InputError, match="finite"):
         model.predict(Xq)
     path = tmp_path / "model.json"
     model_io.save_model(path, model)
-    queries = [readings[0], replace(readings[1], latitude=bad)]
+    queries = readings.take(np.arange(2))
+    queries.lat[1] = bad
     with pytest.raises(InputError, match="finite"):
         model_io.load_model(path).predict_readings(queries)
 
@@ -163,4 +162,4 @@ def test_loaded_model_missing_covariates_named(tmp_path, corpus):
     path.write_text(json.dumps(blob))
     loaded = model_io.load_model(path)
     with pytest.raises(InputError, match="windspeed"):
-        loaded.predict_readings(res.readings[:5])
+        loaded.predict_readings(res.readings.take(np.arange(5)))
