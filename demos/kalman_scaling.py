@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from sensorgp import GPModel, SquaredExponential, StateSpaceGP, temporal_kernel
+from sensorgp import GPModel, Kernel, SquaredExponential, StateSpaceGP, temporal_kernel
 
 
 def main():
@@ -29,17 +29,21 @@ def main():
     temporal = temporal_kernel("matern32", variance=1.0, lengthscale=3.0)
     kalman = StateSpaceGP(spatial, temporal, X, y, noise_variance=0.1)
 
-    # dense reference: same separable covariance, materialized
-    class Separable(SquaredExponential):
-        def _gram(self, A, B):
-            ks = spatial.gram(A[:, :2], B[:, :2])
-            kt = temporal.covariance(np.abs(A[:, 2][:, None] - B[:, 2][None, :]))
-            return ks * kt
+    # dense reference: same separable covariance, materialized; a kernel node
+    # with no hyperparameters of its own can compute its whole matrix as its base
+    class Separable(Kernel):
+        def _base(self, A, B, paired):
+            if paired:
+                return spatial.diag(A[:, :2]) * temporal.variance
+            return spatial.gram(A[:, :2], B[:, :2]) * temporal.covariance(A[:, 2:] - B[:, 2])
 
-        def _diag(self, A):
-            return spatial.diag(A[:, :2]) * temporal.variance
+        def _forward(self, K):
+            return K, None
 
-    dense = GPModel(Separable(1.0, 1.0), X, y, noise_variance=0.1, mean=float(y.mean()))
+        def _get_params(self):
+            return []
+
+    dense = GPModel(Separable(), X, y, noise_variance=0.1, mean=float(y.mean()))
 
     Xq = np.array([[coords[0, 0], coords[0, 1], times[-1] + 2.0],
                    [0.5, 0.5, 10.0]])

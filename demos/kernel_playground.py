@@ -11,10 +11,15 @@ from sensorgp import ActiveDims, Periodic, SquaredExponential, from_config, to_c
 def main():
     rng = np.random.default_rng(0)
 
-    # space gets a smooth SE kernel, time gets daily * weekly periodicity
-    space = ActiveDims([0, 1], SquaredExponential(variance=1.0, lengthscale=0.5))
-    time = ActiveDims([2], Periodic(1.0, 1.0, 24.0) * Periodic(1.0, 1.0, 168.0))
+    # each leaf reads its own input columns: space (columns 0 and 1) gets a
+    # smooth SE kernel, time (column 2) gets daily * weekly periodicity
+    space = SquaredExponential(variance=1.0, lengthscale=0.5, dims=[0, 1])
+    time = Periodic(1.0, 1.0, 24.0, dims=[2]) * Periodic(1.0, 1.0, 168.0, dims=[2])
     kernel = space + time
+
+    # ActiveDims pushes one column choice into every leaf of a subtree
+    same = space + ActiveDims([2], Periodic(1.0, 1.0, 24.0) * Periodic(1.0, 1.0, 168.0))
+    print(f"ActiveDims builds the same tree: {to_config(same) == to_config(kernel)}\n")
 
     print("kernel parameters (log scale, depth first):")
     for name, value in zip(kernel.param_names(), kernel.log_params()):

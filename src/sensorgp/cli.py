@@ -23,11 +23,11 @@ from . import evaluation as eval_mod
 from . import linalg, model_io
 from .errors import ConfigError, InputError, SensorGPError
 
-ROW_KEYS = (
-    "backend", "name", "periodic", "clean_outliers", "additional_inputs",
-    "subsample", "repetitions", "seeds", "n_inducing", "batch_size", "budget",
-    "learning_rate", "temporal", "noise_variance", "kernel_variance",
-    "kernel_lengthscale", "optimize_inducing", "parallelism",
+# a matrix row sets any experiment field but the outlier fences, which the
+# `cleaning` section sets for every row
+ROW_KEYS = tuple(
+    f.name for f in dataclass_fields(eval_mod.ExperimentConfig)
+    if not f.name.startswith("outlier_")
 )
 
 CONFIG_SCHEMA = {

@@ -19,14 +19,14 @@ import numpy as np
 
 from . import data as data_mod
 from . import kernels as kernels_mod
-from . import linalg
+from . import linalg, model_io
 from .errors import ConfigError, InputError, ProtocolError
 from .exact_gp import GPModel, subsample
 from .optim import OptimizerOptions
 from .statespace import StateSpaceGP
 from .svgp import SVGPModel
 
-BACKENDS = ("exact", "svgp", "statespace")
+BACKENDS = tuple(model_io.BACKENDS)  # exact, svgp, statespace
 DAILY_HOURS = 24.0
 WEEKLY_HOURS = 168.0
 
@@ -163,12 +163,10 @@ def _build_kernel(columns, config):
     v, ls = config.kernel_variance, config.kernel_lengthscale
     if not config.periodic:
         return kernels_mod.SquaredExponential(v, ls)
-    periodic = kernels_mod.Periodic(v, ls, DAILY_HOURS) * kernels_mod.Periodic(
-        1.0, ls, WEEKLY_HOURS
+    return kernels_mod.SquaredExponential(v, ls, dims=other_dims) + (
+        kernels_mod.Periodic(v, ls, DAILY_HOURS, dims=[time_dim])
+        * kernels_mod.Periodic(1.0, ls, WEEKLY_HOURS, dims=[time_dim])
     )
-    return kernels_mod.ActiveDims(
-        other_dims, kernels_mod.SquaredExponential(v, ls)
-    ) + kernels_mod.ActiveDims((time_dim,), periodic)
 
 
 def _clean_training(train, config):

@@ -1,12 +1,13 @@
 """Composable covariance functions.
 
-Kernels form an expression tree: squared-exponential and periodic leaves,
-``Sum`` and ``Product`` interior nodes, and an ``ActiveDims`` wrapper that
-restricts a subtree to a subset of the input columns. Every positive
-hyperparameter is stored as its logarithm so optimizers can work
-unconstrained; the flat parameter vector is ordered depth-first over the
-tree (each leaf contributes ``log variance`` first, then its remaining
-parameters).
+Kernels form an expression tree: squared-exponential and periodic leaves
+under ``Sum`` and ``Product`` interior nodes, the same shape as the nested
+config form. Each leaf reads its own input columns, ``dims`` (all of them
+by default); ``ActiveDims(dims, kernel)`` returns a copy of a tree with a
+column choice pushed into its leaves. Every positive hyperparameter is
+stored as its logarithm so optimizers can work unconstrained; the flat
+parameter vector is ordered depth-first over the tree (each leaf
+contributes ``log variance`` first, then its remaining parameters).
 
 ``prepare`` computes each leaf's hyperparameter-free base for an input
 pair once: squared distances (one block per column under ARD), or the
@@ -45,6 +46,19 @@ def _check_pair(X, X2):
             f"input dimensionality mismatch: {X.shape[1]} vs {X2.shape[1]}"
         )
     return X, X2
+
+
+def _check_dims(dims):
+    """The distinct, non-negative column indices a leaf reads; None means all."""
+    if dims is None:
+        return None
+    values = np.atleast_1d(dims)
+    valid = values.ndim == 1 and values.size and values.dtype.kind in "iuf"
+    if not (valid and np.all(values >= 0) and np.all(values % 1 == 0)):
+        raise InputError(f"dims must list one or more non-negative column indices, got {dims!r}")
+    if np.unique(values).size != values.size:
+        raise InputError(f"dims must be distinct, got {dims!r}")
+    return [int(d) for d in values]
 
 
 def _differences(X, X2, paired):
@@ -98,8 +112,11 @@ class Kernel:
 
     A node implements ``_base(X, X2, paired)``, ``_forward(base) -> (K, aux)``
     (the pair is its tape), ``_reverse(tape, Kbar)`` and ``_tangents(tape)``,
-    which return one entry per parameter, and ``_grad_x``; interior nodes
-    also implement ``_value``, the tape-free forward pass behind ``gram``.
+    which return one entry per parameter, and ``_grad_x(X, X2)``, which
+    yields ``(dims, block)`` terms: a leaf's derivative over the columns it
+    reads. Interior nodes also implement ``_value``, the tape-free forward
+    pass behind ``gram``. Leaves pick their input columns with ``dims``:
+    ``SquaredExponential(dims=[0, 1]) + Periodic(period=24.0, dims=[2])``.
     """
 
     def prepare(self, X, X2=None):
@@ -134,7 +151,16 @@ class Kernel:
     def grad_x(self, X, X2):
         """d k(x_i, z_j) / d x_i as an (n, m, d) array."""
         X, X2 = _check_pair(X, X2)
-        return self._grad_x(X, X2)
+        out = np.zeros((X.shape[0], X2.shape[0], X.shape[1]))
+        written = np.zeros(X.shape[1], dtype=bool)
+        for dims, block in self._grad_x(X, X2):
+            columns = slice(None) if dims is None else dims
+            if written[columns].any():  # a fancy-indexed += gathers, then scatters
+                out[..., columns] += block
+            else:
+                out[..., columns] = block
+            written[columns] = True
+        return out
 
     def _value(self, X, X2, paired):
         # the same arithmetic as a prepared forward pass, but interior nodes
@@ -144,16 +170,6 @@ class Kernel:
     def _value_and_tangents(self, base):
         tape = self._forward(base)
         return tape[0], self._tangents(tape)
-
-    # A node with no hyperparameters to differentiate may implement only
-    # _gram(X, X2) and _diag(X); these defaults hand it the raw inputs.
-
-    def _base(self, X, X2, paired):
-        return X, X2, paired
-
-    def _forward(self, base):
-        X, X2, paired = base
-        return (self._diag(X) if paired else self._gram(X, X2)), None
 
     # -- flat log-parameter vector ----------------------------------------
 
@@ -192,11 +208,33 @@ class _Leaf(Kernel):
 
     `_factors(aux)` yields one (c_p, M_p) per parameter, M_p None standing
     for all ones; the reverse pass and the dense tangents both read it.
+    `_column_base` and `_column_grad_x` see only the columns in `dims`.
     """
 
     @property
     def variance(self):
         return float(np.exp(self.log_variance))
+
+    def _columns(self, X):
+        if self.dims is None:
+            return X
+        if max(self.dims) >= X.shape[1]:
+            raise InputError(f"dims {self.dims} out of range for {X.shape[1]}-column input")
+        return X[:, self.dims]
+
+    def _base(self, X, X2, paired):
+        return self._column_base(self._columns(X), self._columns(X2), paired)
+
+    def _grad_x(self, X, X2):
+        yield self.dims, self._column_grad_x(self._columns(X), self._columns(X2))
+
+    def param_names(self, prefix=""):
+        if self.dims is not None:
+            prefix += f"dims{self.dims}."
+        return [prefix + name for name in self._names()]
+
+    def _dims_repr(self):
+        return "" if self.dims is None else f", dims={self.dims}"
 
     def _reverse(self, tape, Kbar):
         K, aux = tape
@@ -219,7 +257,7 @@ class SquaredExponential(_Leaf):
     squared difference per column, stacked as (columns, n, m).
     """
 
-    def __init__(self, variance=1.0, lengthscale=1.0):
+    def __init__(self, variance=1.0, lengthscale=1.0, dims=None):
         if variance <= 0:
             raise InputError("variance must be positive")
         ls = np.asarray(lengthscale, dtype=float)
@@ -228,12 +266,13 @@ class SquaredExponential(_Leaf):
         self.log_variance = float(np.log(variance))
         self.ard = ls.ndim > 0
         self.log_lengthscale = np.log(ls) if self.ard else float(np.log(ls))
+        self.dims = _check_dims(dims)
 
     @property
     def lengthscale(self):
         return np.exp(self.log_lengthscale)
 
-    def _base(self, X, X2, paired):
+    def _column_base(self, X, X2, paired):
         width = np.atleast_1d(self.log_lengthscale).size
         if self.ard and X.shape[1] != width:
             raise InputError(f"ARD kernel built for {width} dims, got {X.shape[1]}")
@@ -260,35 +299,29 @@ class SquaredExponential(_Leaf):
         yield 1.0, None
         yield from zip(np.atleast_1d(self.lengthscale) ** -2.0, base)
 
-    def _grad_x(self, X, X2):
-        K = self._forward(self._base(X, X2, False))[0]
+    def _column_grad_x(self, X, X2):
+        K = self._forward(self._column_base(X, X2, False))[0]
         return -K[..., None] * _differences(X, X2, False) / np.atleast_1d(self.lengthscale) ** 2
 
     def _get_params(self):
-        if self.ard:
-            return [self.log_variance] + list(np.atleast_1d(self.log_lengthscale))
-        return [self.log_variance, self.log_lengthscale]
+        return [self.log_variance, *np.atleast_1d(self.log_lengthscale)]
 
     def _set_params(self, values):
         self.log_variance = values[0]
-        if self.ard:
-            self.log_lengthscale = np.array(values[1:], dtype=float)
-        else:
-            self.log_lengthscale = values[1]
+        self.log_lengthscale = np.array(values[1:], dtype=float) if self.ard else values[1]
 
-    def param_names(self, prefix=""):
-        names = [prefix + "se.log_variance"]
+    def _names(self):
         if self.ard:
-            names += [
-                prefix + f"se.log_lengthscale[{j}]"
-                for j in range(np.atleast_1d(self.log_lengthscale).size)
+            return ["se.log_variance"] + [
+                f"se.log_lengthscale[{j}]" for j in range(self.log_lengthscale.size)
             ]
-        else:
-            names.append(prefix + "se.log_lengthscale")
-        return names
+        return ["se.log_variance", "se.log_lengthscale"]
 
     def __repr__(self):
-        return f"SquaredExponential(variance={self.variance:.4g}, lengthscale={self.lengthscale})"
+        return (
+            f"SquaredExponential(variance={self.variance:.4g}, "
+            f"lengthscale={self.lengthscale}{self._dims_repr()})"
+        )
 
 
 class Periodic(_Leaf):
@@ -300,13 +333,15 @@ class Periodic(_Leaf):
     differences.
     """
 
-    def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False):
+    def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False,
+                 dims=None):
         if min(variance, lengthscale, period) <= 0:
             raise InputError("variance, lengthscale and period must be positive")
         self.log_variance = float(np.log(variance))
         self.log_lengthscale = float(np.log(lengthscale))
         self.log_period = float(np.log(period))
         self.learn_period = bool(learn_period)
+        self.dims = _check_dims(dims)
 
     @property
     def lengthscale(self):
@@ -331,7 +366,7 @@ class Periodic(_Leaf):
         K *= self.variance
         return K
 
-    def _base(self, X, X2, paired):
+    def _column_base(self, X, X2, paired):
         diff = _differences(X, X2, paired)
         return diff if self.learn_period else self._sin2(diff)[1]
 
@@ -349,7 +384,7 @@ class Periodic(_Leaf):
             _, diff, u = aux
             yield 2.0 * np.pi / (ell2 * self.period), np.sum(diff * np.sin(2.0 * u), axis=-1)
 
-    def _grad_x(self, X, X2):
+    def _column_grad_x(self, X, X2):
         u, s = self._sin2(_differences(X, X2, False))
         coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
         return self._from_sin2(s)[..., None] * coeff * np.sin(2.0 * u)
@@ -366,16 +401,14 @@ class Periodic(_Leaf):
         if self.learn_period:
             self.log_period = values[2]
 
-    def param_names(self, prefix=""):
-        names = [prefix + "periodic.log_variance", prefix + "periodic.log_lengthscale"]
-        if self.learn_period:
-            names.append(prefix + "periodic.log_period")
-        return names
+    def _names(self):
+        names = ["periodic.log_variance", "periodic.log_lengthscale"]
+        return names + ["periodic.log_period"] if self.learn_period else names
 
     def __repr__(self):
         return (
             f"Periodic(variance={self.variance:.4g}, lengthscale={self.lengthscale:.4g}, "
-            f"period={self.period:.4g})"
+            f"period={self.period:.4g}{self._dims_repr()})"
         )
 
 
@@ -462,7 +495,8 @@ class Sum(_Combination):
         return [None] * len(Ks)
 
     def _grad_x(self, X, X2):
-        return sum(child._grad_x(X, X2) for child in self.children)
+        for child in self.children:
+            yield from child._grad_x(X, X2)
 
     def __repr__(self):
         return " + ".join(repr(c) for c in self.children)
@@ -486,69 +520,40 @@ class Product(_Combination):
 
     def _grad_x(self, X, X2):
         others = self._weights([child._value(X, X2, False) for child in self.children])
-        total = None
         for child, other in zip(self.children, others):
-            term = _times(child._grad_x(X, X2), None if other is None else other[..., None])
-            total = term if total is None else total + term
-        return total
+            for dims, block in child._grad_x(X, X2):
+                yield dims, (block if other is None else block * other[..., None])
 
     def __repr__(self):
         return " * ".join(f"({c!r})" for c in self.children)
 
 
-class ActiveDims(Kernel):
-    """Restrict a child kernel to a subset of the input columns."""
+def _leaves(kernel):
+    """The leaves of a kernel tree, depth first."""
+    if isinstance(kernel, _Combination):
+        for child in kernel.children:
+            yield from _leaves(child)
+    else:
+        yield kernel
 
-    def __init__(self, dims, child):
-        dims = [int(d) for d in np.atleast_1d(dims)]
-        if len(set(dims)) != len(dims):
-            raise InputError(f"active dims must be distinct, got {dims}")
-        if any(d < 0 for d in dims):
-            raise InputError(f"active dims must be non-negative, got {dims}")
-        if not isinstance(child, Kernel):
-            raise InputError("ActiveDims needs a kernel child")
-        self.dims = dims
-        self.child = child
 
-    def _slice(self, X):
-        if max(self.dims) >= X.shape[1]:
-            raise InputError(
-                f"active dims {self.dims} out of range for {X.shape[1]}-column input"
-            )
-        return X[:, self.dims]
+def ActiveDims(dims, kernel):
+    """A copy of `kernel` whose leaves read the input columns `dims`.
 
-    def _base(self, X, X2, paired):
-        return self.child._base(self._slice(X), self._slice(X2), paired)
-
-    def _value(self, X, X2, paired):
-        return self.child._value(self._slice(X), self._slice(X2), paired)
-
-    def _forward(self, base):
-        return self.child._forward(base)
-
-    def _reverse(self, tape, Kbar):
-        return self.child._reverse(tape, Kbar)
-
-    def _tangents(self, tape):
-        return self.child._tangents(tape)
-
-    def _grad_x(self, X, X2):
-        sub = self.child._grad_x(self._slice(X), self._slice(X2))
-        out = np.zeros(sub.shape[:2] + (X.shape[1],))
-        out[..., self.dims] = sub
-        return out
-
-    def _get_params(self):
-        return self.child._get_params()
-
-    def _set_params(self, values):
-        self.child._set_params(values)
-
-    def param_names(self, prefix=""):
-        return self.child.param_names(prefix + f"dims{self.dims}.")
-
-    def __repr__(self):
-        return f"ActiveDims({self.dims}, {self.child!r})"
+    A leaf that already reads columns of its own keeps them, as positions
+    within `dims`: ``ActiveDims([2, 0], SquaredExponential(dims=[1]))``
+    reads column 0.
+    """
+    dims = _check_dims(dims)
+    out = copy.deepcopy(kernel)
+    for leaf in _leaves(out):
+        if not isinstance(leaf, _Leaf):
+            raise InputError(f"cannot choose the input columns of {leaf!r}")
+        own = range(len(dims)) if leaf.dims is None else leaf.dims
+        if max(own) >= len(dims):
+            raise InputError(f"dims {leaf.dims} out of range for the {len(dims)} columns {dims}")
+        leaf.dims = [dims[i] for i in own]
+    return out
 
 
 # -- config-driven construction -------------------------------------------
@@ -582,62 +587,46 @@ def from_config(node, n_dims=None):
     unknown = set(body) - _LEAF_KEYS[kind]
     if unknown:
         raise InputError(f"unknown key '{sorted(unknown)[0]}' in '{kind}' kernel config")
-    dims = body.pop("dims", None)
-    if kind == "se":
-        ard = body.pop("ard", False)
-        lengthscale = body.get("lengthscale", 1.0)
-        if ard and np.ndim(lengthscale) == 0:
-            width = len(dims) if dims is not None else n_dims
-            if width is None:
-                raise InputError("ard=true needs 'dims' or a known input dimensionality")
-            lengthscale = np.full(width, float(lengthscale))
-        body["lengthscale"] = lengthscale
-        leaf = SquaredExponential(**body)
-    else:
-        leaf = Periodic(**body)
-    return ActiveDims(dims, leaf) if dims is not None else leaf
+    dims = body["dims"] = _check_dims(body.get("dims"))
+    if kind == "periodic":
+        return Periodic(**body)
+    ard = body.pop("ard", False)
+    lengthscale = body.get("lengthscale", 1.0)
+    if ard and np.ndim(lengthscale) == 0:
+        width = len(dims) if dims is not None else n_dims
+        if width is None:
+            raise InputError("ard=true needs 'dims' or a known input dimensionality")
+        lengthscale = np.full(width, float(lengthscale))
+    body["lengthscale"] = lengthscale
+    return SquaredExponential(**body)
 
 
 def to_config(kernel):
     """Inverse of from_config, with current hyperparameter values baked in."""
-    if isinstance(kernel, ActiveDims):
-        # configs carry dims on leaves only; slicing distributes over
-        # sum/product, so push the wrapper into each branch
-        if isinstance(kernel.child, (Sum, Product)):
-            branches = [
-                to_config(ActiveDims(kernel.dims, c)) for c in kernel.child.children
-            ]
-            return {"sum" if isinstance(kernel.child, Sum) else "product": branches}
-        inner = to_config(kernel.child)
-        kind, body = next(iter(inner.items()))
-        if "dims" in body:
-            # nested wrappers compose: inner indices address the outer slice
-            body["dims"] = [kernel.dims[i] for i in body["dims"]]
-        else:
-            body["dims"] = list(kernel.dims)
-        return {kind: body}
     if isinstance(kernel, Sum):
         return {"sum": [to_config(c) for c in kernel.children]}
     if isinstance(kernel, Product):
         return {"product": [to_config(c) for c in kernel.children]}
     if isinstance(kernel, SquaredExponential):
-        body = {"variance": kernel.variance}
+        kind, body = "se", {"variance": kernel.variance}
         if kernel.ard:
             body["lengthscale"] = [float(v) for v in np.atleast_1d(kernel.lengthscale)]
             body["ard"] = True
         else:
             body["lengthscale"] = float(kernel.lengthscale)
-        return {"se": body}
-    if isinstance(kernel, Periodic):
-        body = {
+    elif isinstance(kernel, Periodic):
+        kind, body = "periodic", {
             "variance": kernel.variance,
             "lengthscale": kernel.lengthscale,
             "period": kernel.period,
         }
         if kernel.learn_period:
             body["learn_period"] = True
-        return {"periodic": body}
-    raise InputError(f"cannot serialize kernel of type {type(kernel)}")
+    else:
+        raise InputError(f"cannot serialize kernel of type {type(kernel)}")
+    if kernel.dims is not None:
+        body["dims"] = list(kernel.dims)
+    return {kind: body}
 
 
 def rescale_periods(kernel, column_scales):
@@ -650,19 +639,11 @@ def rescale_periods(kernel, column_scales):
     """
     column_scales = np.asarray(column_scales, dtype=float)
     out = kernel.copy()
-
-    def walk(node, dims):
-        if isinstance(node, ActiveDims):
-            walk(node.child, node.dims)
-        elif isinstance(node, (Sum, Product)):
-            for child in node.children:
-                walk(child, dims)
-        elif isinstance(node, Periodic):
-            if dims is None or len(dims) != 1:
+    for leaf in _leaves(out):
+        if isinstance(leaf, Periodic):
+            if leaf.dims is None or len(leaf.dims) != 1:
                 raise InputError(
                     "period rescaling needs each periodic leaf on exactly one column"
                 )
-            node.log_period = float(np.log(node.period / column_scales[dims[0]]))
-
-    walk(out, None)
+            leaf.log_period = float(np.log(leaf.period / column_scales[leaf.dims[0]]))
     return out

@@ -246,6 +246,22 @@ def test_predict_names_a_missing_model_file_key(tmp_path, sensors, capsys, missi
     assert not (model_path.parent / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("dims", [[], ["a"], [0.5], [-1]])
+def test_predict_names_malformed_kernel_dims(tmp_path, sensors, capsys, dims):
+    model_path = fit(tmp_path, sensors, MEAN_PREDICTOR)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["kernel"]["se"]["dims"] = dims
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    queries = tmp_path / "queries.csv"
+    queries.write_text(TWO_QUERIES, encoding="utf-8")
+    capsys.readouterr()
+    assert predict(model_path, queries) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "dims" in err
+    assert not (model_path.parent / "predictions.csv").exists()
+
+
 def test_predict_requires_model_flag(tmp_path):
     queries = tmp_path / "queries.csv"
     queries.write_text("latitude,longitude,timestamp\n0,0,2021-11-01T00:00:00Z\n")

@@ -144,6 +144,30 @@ def test_active_dims_slices_columns():
     k = kernels.ActiveDims([1, 3], child)
     np.testing.assert_allclose(k.gram(X), child.gram(X[:, [1, 3]]), atol=1e-15)
     np.testing.assert_allclose(k.diag(X), child.diag(X[:, [1, 3]]), atol=1e-15)
+    # the helper only fills in the leaf's own argument
+    leaf = kernels.SquaredExponential(1.0, 0.7, dims=[1, 3])
+    assert np.array_equal(leaf.gram(X), k.gram(X))
+    assert leaf.param_names() == k.param_names()
+
+
+@pytest.mark.parametrize(
+    "dims", [[], ["a"], [[0, 1]], [0.5], [1, 1], [-1], [True], [float("nan")]]
+)
+def test_malformed_dims_rejected(dims):
+    with pytest.raises(InputError, match="dims"):
+        kernels.from_config({"se": {"dims": dims}})
+    with pytest.raises(InputError, match="dims"):
+        kernels.from_config({"periodic": {"dims": dims}})
+    with pytest.raises(InputError, match="dims"):
+        kernels.ActiveDims(dims, kernels.SquaredExponential())
+
+
+def test_active_dims_compose_inside_their_range():
+    inner = kernels.SquaredExponential(dims=[0, 2])
+    assert kernels.ActiveDims([4, 1, 3], inner).dims == [4, 3]
+    assert inner.dims == [0, 2]  # the argument is copied, not changed
+    with pytest.raises(InputError, match="out of range"):
+        kernels.ActiveDims([4, 1], inner)
 
 
 def test_dimension_mismatch_rejected():
@@ -281,7 +305,7 @@ positive = st.floats(0.3, 3.0)
 @st.composite
 def leaves(draw):
     """An SE, ARD SE or periodic leaf (period fixed or learned), on all input
-    columns or wrapped in ActiveDims."""
+    columns or on a subset chosen by ActiveDims."""
     dims = draw(st.lists(st.integers(0, WIDTH - 1), min_size=1, max_size=WIDTH, unique=True))
     wrap = draw(st.booleans())
     if not wrap:
@@ -331,6 +355,21 @@ def test_reverse_pass_matches_dense_tangents(kernel, seed, diagonal):
         assert abs(reduced[p] - np.sum(Kbar * dK)) <= bound, kernel.param_names()[p]
 
 
+@settings(max_examples=60, deadline=None)
+@given(kernel=kernel_trees, seed=st.integers(0, 2**32 - 1))
+def test_config_roundtrip_keeps_every_tree(kernel, seed):
+    # the file stores exp(θ) in decimal, so a reloaded log-parameter can sit
+    # an ulp away; the tree itself (shape, columns, options) must be the same,
+    # so with the parameters copied over the Gram matches bit for bit
+    rebuilt = kernels.from_config(kernels.to_config(kernel))
+    assert rebuilt.param_names() == kernel.param_names()
+    np.testing.assert_allclose(rebuilt.log_params(), kernel.log_params(), rtol=1e-15, atol=1e-15)
+    rebuilt.set_log_params(kernel.log_params())
+    X = np.random.default_rng(seed).normal(size=(6, WIDTH))
+    assert np.array_equal(rebuilt.gram(X), kernel.gram(X))
+    assert kernels.to_config(rebuilt) == kernels.to_config(kernel)
+
+
 # ---------------------------------------------------------------------------
 # gradients with respect to inputs
 
@@ -341,8 +380,12 @@ def test_reverse_pass_matches_dense_tangents(kernel, seed, diagonal):
         random_tree,
         lambda rng: kernels.from_config({"product": [{"se": {}}]})
         + kernels.SquaredExponential(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+        # leaves whose columns overlap: column 2 gets three terms, column 1 one
+        lambda rng: kernels.SquaredExponential(1.1, [0.8, 1.3], dims=[2, 0])
+        * kernels.Periodic(0.9, 1.2, 3.0, dims=[2])
+        + kernels.SquaredExponential(0.7, 1.4, dims=[1, 2]),
     ],
-    ids=["random-tree", "one-factor-product"],
+    ids=["random-tree", "one-factor-product", "overlapping-dims"],
 )
 def test_grad_x_finite_difference(make_kernel):
     rng = np.random.default_rng(14)
@@ -454,9 +497,8 @@ def test_config_composes_nested_active_dims():
 
 def test_config_ard_expansion():
     k = kernels.from_config({"se": {"dims": [0, 1, 2], "ard": True, "lengthscale": 2.0}})
-    inner = k.child
-    assert inner.ard
-    np.testing.assert_allclose(np.atleast_1d(inner.lengthscale), [2.0, 2.0, 2.0])
+    assert k.ard
+    np.testing.assert_allclose(np.atleast_1d(k.lengthscale), [2.0, 2.0, 2.0])
     k2 = kernels.from_config({"se": {"ard": True}}, n_dims=4)
     assert len(np.atleast_1d(k2.lengthscale)) == 4
 
@@ -483,10 +525,10 @@ def test_rescale_periods_divides_by_column_scale():
     }
     k = kernels.from_config(node)
     scaled = kernels.rescale_periods(k, np.array([1.0, 1.0, 8.0]))
-    leaf = scaled.children[1].child
+    leaf = scaled.children[1]
     assert leaf.period == pytest.approx(3.0, rel=1e-12)
     # original untouched
-    assert k.children[1].child.period == pytest.approx(24.0)
+    assert k.children[1].period == pytest.approx(24.0)
 
 
 def test_rescale_periods_requires_single_column():

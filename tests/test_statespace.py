@@ -13,12 +13,11 @@ def gp_for_series(temporal, t, y, noise, mean=0.0):
     """Dense exact GP over a single site, sharing the temporal covariance."""
 
     class TemporalAsKernel(kernels.Kernel):
-        def _gram(self, A, B):
-            tau = np.abs(A[:, 0][:, None] - B[:, 0][None, :])
-            return temporal.covariance(tau)
+        def _base(self, A, B, paired):
+            return np.abs(A[:, 0] - B[:, 0]) if paired else np.abs(A[:, :1] - B[:, 0])
 
-        def _diag(self, A):
-            return np.full(A.shape[0], temporal.variance)
+        def _forward(self, tau):
+            return temporal.covariance(tau), None
 
         def _get_params(self):
             return []
