@@ -232,13 +232,24 @@ class OutlierReport:
     groups: dict = field(default_factory=dict)
 
 
+def _percentile(ordered, q):
+    """np.percentile(ordered, q) of an ascending list, with its linear
+    interpolation and arithmetic, so bit for bit the same."""
+    index = (len(ordered) - 1) * (q / 100)
+    below = math.floor(index)
+    gamma = index - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def _fences(values, factor, mode):
-    q1 = float(np.percentile(values, 25))
-    q3 = float(np.percentile(values, 75))
+    """Quartiles, IQR and fences of `values`, and the values as an ascending list."""
+    ordered = sorted(values.tolist())
+    q1, q3 = _percentile(ordered, 25), _percentile(ordered, 75)
     iqr = q3 - q1
     margin = 0.0 if iqr == 0.0 else factor * iqr
     low, high = (q1, q3) if mode == "tukey" else (float(np.mean(values)),) * 2
-    return q1, q3, iqr, low - margin, high + margin
+    return q1, q3, iqr, low - margin, high + margin, ordered
 
 
 def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
@@ -263,7 +274,7 @@ def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
             )
             continue
         values = readings.pm25[rows]
-        q1, q3, iqr, lower, upper = _fences(values, factor, mode)
+        q1, q3, iqr, lower, upper, _ = _fences(values, factor, mode)
         inside = (lower <= values) & (values <= upper)
         keep[rows] = inside
         report.groups[name] = GroupFences(
@@ -471,12 +482,12 @@ def summary_stats(readings):
     boxes, site_means = {}, {}
     for (site, hour), rows in _groups(readings.site, hour_of_day):
         values = readings.pm25[rows]
-        q1, q3, _, lower, upper = _fences(values, 1.5, "tukey")
-        outliers = sorted(float(v) for v in values if v < lower or v > upper)
+        q1, q3, _, lower, upper, ordered = _fences(values, 1.5, "tukey")
+        mid = rows.size // 2
+        median = ordered[mid] if rows.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+        outliers = [v for v in ordered if v < lower or v > upper]
         boxes.setdefault(site, []).append(
-            HourOfDayBox(
-                hour, rows.size, float(np.median(values)), q1, q3, lower, upper, outliers
-            )
+            HourOfDayBox(hour, rows.size, median, q1, q3, lower, upper, outliers)
         )
         site_means.setdefault(site, {})[hour] = float(values.mean())
     overall = {

@@ -17,9 +17,10 @@ writes its derivatives once, as ``dK/dθ_p = K ∘ c_p M_p``: the reverse
 pass maps an adjoint K̄ to ``Σ K̄ ∘ dK/dθ_p`` for every parameter without
 forming those matrices (``Sum`` passes K̄ down, ``Product`` passes K̄
 times the other factors, a leaf reduces ``c_p ⟨K̄ ∘ K, M_p⟩``), and
-``gram_and_grads`` multiplies the same terms out into dense tangents. A
-diagonal is the same tree over paired rows. ``grad_x`` differentiates
-with respect to the first input argument.
+``gram_and_grads`` multiplies the same terms out into dense tangents. The
+same walk gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding
+its columns from ``W = K̄ ∘ K`` by ``(n, m)`` matrix products, with no
+``(n, m, d)`` array. A diagonal is the same tree over paired rows.
 """
 
 import copy
@@ -61,11 +62,17 @@ def _check_dims(dims):
     return [int(d) for d in values]
 
 
-def _differences(X, X2, paired):
-    """Row differences: every pair as (n, m, d), or row i with row i as (n, d)."""
-    if paired:
-        return X - X2
-    return X[:, None, :] - X2[None, :, :]
+def _log_positive(kind, name, value, vector=False):
+    """log of a positive, finite number (or, for a vector, of a non-empty
+    list of them); anything else is an InputError naming the leaf and key."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = np.array(np.nan)
+    valid = array.ndim <= int(vector) and array.size and np.all((array > 0) & (array < np.inf))
+    if isinstance(value, (str, bool)) or not valid:
+        raise InputError(f"{kind} kernel {name} must be a positive number, got {value!r}")
+    return np.log(array) if array.ndim else float(np.log(array))
 
 
 def _times(a, b):
@@ -88,21 +95,28 @@ class PreparedInputs:
 
     The bases do not depend on the hyperparameters, so one instance serves
     every value the kernel's parameters take; each call reads the current
-    ones.
+    ones. The two input matrices are kept for the input adjoint.
     """
 
-    def __init__(self, kernel, base):
+    def __init__(self, kernel, X, X2, paired):
         self.kernel = kernel
-        self.base = base
+        self.X, self.X2, self.paired = X, X2, paired
+        self.base = kernel._base(X, X2, paired)
 
     def gram_and_vjp(self):
-        """Gram matrix K and a function taking an adjoint K̄ of K's shape to
-        the gradient of sum(K̄ ∘ K) over the log-hyperparameters. K must not
-        be modified before the function is called."""
+        """Gram matrix K and ``vjp(Kbar, inputs=False)``, mapping an adjoint K̄
+        to θ̄ = ∂ sum(K̄ ∘ K)/∂θ over the log-hyperparameters, or with
+        inputs=True to ``(θ̄, X̄)``, X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input,
+        both from one walk over the tape. K must not be modified before."""
         tape = self.kernel._forward(self.base)
 
-        def vjp(Kbar):
-            return np.array(self.kernel._reverse(tape, Kbar), dtype=float)
+        def vjp(Kbar, inputs=False):
+            if inputs and self.paired:
+                raise InputError("a diagonal has no input adjoint")
+            Xbar = np.zeros_like(self.X) if inputs else None
+            xs = (self.X, self.X2, Xbar) if inputs else None
+            grad = np.array(self.kernel._reverse(tape, Kbar, xs), dtype=float)
+            return (grad, Xbar) if inputs else grad
 
         return tape[0], vjp
 
@@ -111,23 +125,22 @@ class Kernel:
     """Base class for kernel expression trees.
 
     A node implements ``_base(X, X2, paired)``, ``_forward(base) -> (K, aux)``
-    (the pair is its tape), ``_reverse(tape, Kbar)`` and ``_tangents(tape)``,
-    which return one entry per parameter, and ``_grad_x(X, X2)``, which
-    yields ``(dims, block)`` terms: a leaf's derivative over the columns it
-    reads. Interior nodes also implement ``_value``, the tape-free forward
+    (the pair is its tape), ``_reverse(tape, Kbar, inputs=None)`` and
+    ``_tangents(tape)``, which return one entry per parameter (given
+    ``inputs = (X, X2, Xbar)``, ``_reverse`` also adds the leaves' X̄ into
+    Xbar). Interior nodes also implement ``_value``, the tape-free forward
     pass behind ``gram``. Leaves pick their input columns with ``dims``:
     ``SquaredExponential(dims=[0, 1]) + Periodic(period=24.0, dims=[2])``.
     """
 
     def prepare(self, X, X2=None):
         """The input pair's hyperparameter-free terms, for repeated evaluation."""
-        X, X2 = _check_pair(X, X2)
-        return PreparedInputs(self, self._base(X, X2, paired=False))
+        return PreparedInputs(self, *_check_pair(X, X2), paired=False)
 
     def prepare_diag(self, X):
         """As prepare, for the diagonal k(x_i, x_i) alone."""
         X = _as_matrix(X)
-        return PreparedInputs(self, self._base(X, X, paired=True))
+        return PreparedInputs(self, X, X, paired=True)
 
     def gram(self, X, X2=None):
         """Covariance matrix between the rows of X and X2 (X2 defaults to X)."""
@@ -148,19 +161,11 @@ class Kernel:
         X = _as_matrix(X)
         return self._value_and_tangents(self._base(X, X, paired=True))
 
-    def grad_x(self, X, X2):
-        """d k(x_i, z_j) / d x_i as an (n, m, d) array."""
-        X, X2 = _check_pair(X, X2)
-        out = np.zeros((X.shape[0], X2.shape[0], X.shape[1]))
-        written = np.zeros(X.shape[1], dtype=bool)
-        for dims, block in self._grad_x(X, X2):
-            columns = slice(None) if dims is None else dims
-            if written[columns].any():  # a fancy-indexed += gathers, then scatters
-                out[..., columns] += block
-            else:
-                out[..., columns] = block
-            written[columns] = True
-        return out
+    def grad_x(self, X, X2, Kbar):
+        """X̄ = ∂ sum(K̄ ∘ gram(X, X2))/∂X, the input half of gram_and_vjp's vjp.
+        Fitting code calls the vjp; this name stays because the benchmark's
+        tracer (perfbench/spans.py) binds it."""
+        return self.prepare(X, X2).gram_and_vjp()[1](Kbar, inputs=True)[1]
 
     def _value(self, X, X2, paired):
         # the same arithmetic as a prepared forward pass, but interior nodes
@@ -208,7 +213,7 @@ class _Leaf(Kernel):
 
     `_factors(aux)` yields one (c_p, M_p) per parameter, M_p None standing
     for all ones; the reverse pass and the dense tangents both read it.
-    `_column_base` and `_column_grad_x` see only the columns in `dims`.
+    `_column_base` and `_input_adjoint` (X̄ from W = K̄ ∘ K) see only `dims`.
     """
 
     @property
@@ -225,9 +230,6 @@ class _Leaf(Kernel):
     def _base(self, X, X2, paired):
         return self._column_base(self._columns(X), self._columns(X2), paired)
 
-    def _grad_x(self, X, X2):
-        yield self.dims, self._column_grad_x(self._columns(X), self._columns(X2))
-
     def param_names(self, prefix=""):
         if self.dims is not None:
             prefix += f"dims{self.dims}."
@@ -236,8 +238,14 @@ class _Leaf(Kernel):
     def _dims_repr(self):
         return "" if self.dims is None else f", dims={self.dims}"
 
-    def _reverse(self, tape, Kbar):
+    def _reverse(self, tape, Kbar, inputs=None):
         K, aux = tape
+        if inputs is not None:
+            X, X2, Xbar = inputs
+            columns = slice(None) if self.dims is None else self.dims
+            Xbar[:, columns] += self._input_adjoint(
+                Kbar * K, aux, self._columns(X), self._columns(X2)
+            )
         return [
             c * (_inner(Kbar, K) if M is None else _inner(Kbar, K, M))
             for c, M in self._factors(aux)
@@ -258,14 +266,9 @@ class SquaredExponential(_Leaf):
     """
 
     def __init__(self, variance=1.0, lengthscale=1.0, dims=None):
-        if variance <= 0:
-            raise InputError("variance must be positive")
-        ls = np.asarray(lengthscale, dtype=float)
-        if np.any(ls <= 0):
-            raise InputError("lengthscale must be positive")
-        self.log_variance = float(np.log(variance))
-        self.ard = ls.ndim > 0
-        self.log_lengthscale = np.log(ls) if self.ard else float(np.log(ls))
+        self.log_variance = _log_positive("se", "variance", variance)
+        self.log_lengthscale = _log_positive("se", "lengthscale", lengthscale, vector=True)
+        self.ard = np.ndim(self.log_lengthscale) > 0
         self.dims = _check_dims(dims)
 
     @property
@@ -299,9 +302,9 @@ class SquaredExponential(_Leaf):
         yield 1.0, None
         yield from zip(np.atleast_1d(self.lengthscale) ** -2.0, base)
 
-    def _column_grad_x(self, X, X2):
-        K = self._forward(self._column_base(X, X2, False))[0]
-        return -K[..., None] * _differences(X, X2, False) / np.atleast_1d(self.lengthscale) ** 2
+    def _input_adjoint(self, W, aux, X, X2):
+        # Σ_j W_ij (x2_j - x_i) / ℓ², per column under ARD
+        return (W @ X2 - W.sum(axis=1)[:, None] * X) / np.atleast_1d(self.lengthscale) ** 2
 
     def _get_params(self):
         return [self.log_variance, *np.atleast_1d(self.log_lengthscale)]
@@ -335,11 +338,9 @@ class Periodic(_Leaf):
 
     def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False,
                  dims=None):
-        if min(variance, lengthscale, period) <= 0:
-            raise InputError("variance, lengthscale and period must be positive")
-        self.log_variance = float(np.log(variance))
-        self.log_lengthscale = float(np.log(lengthscale))
-        self.log_period = float(np.log(period))
+        self.log_variance = _log_positive("periodic", "variance", variance)
+        self.log_lengthscale = _log_positive("periodic", "lengthscale", lengthscale)
+        self.log_period = _log_positive("periodic", "period", period)
         self.learn_period = bool(learn_period)
         self.dims = _check_dims(dims)
 
@@ -367,7 +368,7 @@ class Periodic(_Leaf):
         return K
 
     def _column_base(self, X, X2, paired):
-        diff = _differences(X, X2, paired)
+        diff = X - X2 if paired else X[:, None, :] - X2[None, :, :]
         return diff if self.learn_period else self._sin2(diff)[1]
 
     def _forward(self, base):
@@ -384,10 +385,13 @@ class Periodic(_Leaf):
             _, diff, u = aux
             yield 2.0 * np.pi / (ell2 * self.period), np.sum(diff * np.sin(2.0 * u), axis=-1)
 
-    def _column_grad_x(self, X, X2):
-        u, s = self._sin2(_differences(X, X2, False))
+    def _input_adjoint(self, W, aux, X, X2):
+        # dK/dx = K * coeff * sin 2u, with 2u = a - b for a = 2πx/p, b = 2πx2/p
         coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
-        return self._from_sin2(s)[..., None] * coeff * np.sin(2.0 * u)
+        if self.learn_period:
+            return coeff * np.einsum("ij,ijc->ic", W, np.sin(2.0 * aux[2]))
+        a, b = (2.0 * np.pi / self.period) * X, (2.0 * np.pi / self.period) * X2
+        return coeff * (np.sin(a) * (W @ np.cos(b)) - np.cos(a) * (W @ np.sin(b)))
 
     def _get_params(self):
         params = [self.log_variance, self.log_lengthscale]
@@ -447,13 +451,13 @@ class _Combination(Kernel):
             K = self._op(K, tape[0])
         return K, tapes
 
-    def _reverse(self, tape, Kbar):
+    def _reverse(self, tape, Kbar, inputs=None):
         tapes = tape[1]
         weights = self._weights([t[0] for t in tapes])
         return [
             g
             for child, t, w in zip(self.children, tapes, weights)
-            for g in child._reverse(t, _times(Kbar, w))
+            for g in child._reverse(t, _times(Kbar, w), inputs)
         ]
 
     def _tangents(self, tape):
@@ -494,10 +498,6 @@ class Sum(_Combination):
     def _weights(self, Ks):
         return [None] * len(Ks)
 
-    def _grad_x(self, X, X2):
-        for child in self.children:
-            yield from child._grad_x(X, X2)
-
     def __repr__(self):
         return " + ".join(repr(c) for c in self.children)
 
@@ -517,12 +517,6 @@ class Product(_Combination):
         for m in Ks[:0:-1]:
             suffix.append(_times(suffix[-1], m))
         return [_times(left, right) for left, right in zip(prefix, reversed(suffix))]
-
-    def _grad_x(self, X, X2):
-        others = self._weights([child._value(X, X2, False) for child in self.children])
-        for child, other in zip(self.children, others):
-            for dims, block in child._grad_x(X, X2):
-                yield dims, (block if other is None else block * other[..., None])
 
     def __repr__(self):
         return " * ".join(f"({c!r})" for c in self.children)
@@ -583,10 +577,15 @@ def from_config(node, n_dims=None):
         return Sum(*children) if kind == "sum" else Product(*children)
     if kind not in _LEAF_KEYS:
         raise InputError(f"unknown kernel kind '{kind}'")
+    if body is not None and not isinstance(body, dict):
+        raise InputError(f"{kind} kernel config must be a mapping of options, got {body!r}")
     body = dict(body or {})
     unknown = set(body) - _LEAF_KEYS[kind]
     if unknown:
         raise InputError(f"unknown key '{sorted(unknown)[0]}' in '{kind}' kernel config")
+    for flag in body.keys() & {"ard", "learn_period"}:
+        if not isinstance(body[flag], bool):
+            raise InputError(f"{kind} kernel {flag} must be true or false, got {body[flag]!r}")
     dims = body["dims"] = _check_dims(body.get("dims"))
     if kind == "periodic":
         return Periodic(**body)
@@ -596,6 +595,7 @@ def from_config(node, n_dims=None):
         width = len(dims) if dims is not None else n_dims
         if width is None:
             raise InputError("ard=true needs 'dims' or a known input dimensionality")
+        _log_positive("se", "lengthscale", lengthscale)
         lengthscale = np.full(width, float(lengthscale))
     body["lengthscale"] = lengthscale
     return SquaredExponential(**body)

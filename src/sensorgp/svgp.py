@@ -8,7 +8,8 @@ parameters, and optionally the inducing locations themselves) are
 computed in closed form; the Cholesky factor is differentiated through
 its reverse-mode propagation rule rather than by rebuilding K_ZZ^-1, and
 the adjoints of K_ZZ, K_ZX and diag K_XX go through the kernel's reverse
-pass (kernels.py), so no per-parameter derivative matrix is formed.
+pass (kernels.py), so no per-parameter derivative matrix is formed; the
+passes over K_ZZ and K_ZX also give the inducing-location gradient.
 
 Minibatches rescale the data-fit sum by n/batch so the stochastic bound
 stays unbiased. `fit` hands minibatch gradients and the full-batch bound
@@ -262,8 +263,12 @@ class SVGPModel:
         Lbar = np.tril(-Kzx_bar @ A.T)
         Kzz_bar = chol_rev(L, Lbar)
 
-        # one reverse kernel pass per matrix the bound reads
-        grad_kernel = zz_vjp(Kzz_bar) + zx_vjp(Kzx_bar) + diag_vjp(np.full(idx.size, vbar))
+        # one reverse kernel pass per matrix the bound reads; Kzz's and Kzx's also give Z̄
+        zz = zz_vjp(Kzz_bar, inputs=include_inducing)
+        zx = zx_vjp(Kzx_bar, inputs=include_inducing)
+        if include_inducing:
+            (zz, Zbar_zz), (zx, Zbar_zx) = zz, zx
+        grad_kernel = zz + zx + diag_vjp(np.full(idx.size, vbar))
         grad_log_noise = sigma2 * scale * np.sum(
             -1.0 / (2.0 * sigma2) + (resid**2 + var) / (2.0 * sigma2**2)
         )
@@ -271,11 +276,8 @@ class SVGPModel:
 
         parts = [grad_kernel, [grad_log_noise, grad_mean], grad_m_w, grad_c_pack]
         if include_inducing:
-            Gzz = self.kernel.grad_x(self.Z, self.Z)     # (m, m, d), zero at ties
-            Gzx = self.kernel.grad_x(self.Z, Xb)
-            Zbar = 2.0 * np.einsum("mc,mcd->md", Kzz_bar, Gzz)
-            Zbar += np.einsum("mi,mid->md", Kzx_bar, Gzx)
-            parts.append(Zbar.ravel())
+            # Kzz_bar is symmetric, so Z's second place in Kzz adds as much again
+            parts.append(2.0 * Zbar_zz + Zbar_zx)
         grad = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
         return value, grad
 

@@ -13,7 +13,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from sensorgp import kernels
 from sensorgp.data import EPOCH, HOUR, Readings
+from sensorgp.linalg import single_threaded_blas
 
 # 2021-11-01T00:00Z in hours since the epoch; table() counts hours from it
 START_HOUR = 454368
@@ -53,6 +55,31 @@ def central_diff(f, x, step=1e-5):
         lo[i] -= h
         grad[i] = (f(hi) - f(lo)) / (2.0 * h)
     return grad
+
+
+def dense_grad_x(kernel, X, X2):
+    """d k(x_i, x2_j) / d x_i as an (n, m, d) array: each leaf's closed-form
+    derivative over its own columns, combined by the sum and product rules.
+    The reverse pass's input adjoint X̄ is this contracted with K̄ over j."""
+    if isinstance(kernel, kernels.Sum):
+        return sum(dense_grad_x(child, X, X2) for child in kernel.children)
+    if isinstance(kernel, kernels.Product):
+        grams = [child.gram(X, X2) for child in kernel.children]
+        total = 0.0
+        for i, child in enumerate(kernel.children):
+            others = np.prod([g for j, g in enumerate(grams) if j != i] or [1.0], axis=0)
+            total = total + dense_grad_x(child, X, X2) * np.expand_dims(others, -1)
+        return total
+    columns = list(range(X.shape[1])) if kernel.dims is None else kernel.dims
+    diff = X[:, None, columns] - X2[None, :, columns]
+    K = kernel.gram(X, X2)[..., None]
+    out = np.zeros((X.shape[0], X2.shape[0], X.shape[1]))
+    if isinstance(kernel, kernels.SquaredExponential):
+        out[..., columns] = -K * diff / np.atleast_1d(kernel.lengthscale) ** 2
+    else:
+        coeff = -2.0 * np.pi / (kernel.lengthscale**2 * kernel.period)
+        out[..., columns] = K * coeff * np.sin(2.0 * np.pi * diff / kernel.period)
+    return out
 
 
 def max_rel_err(a, b, floor=1e-8):
@@ -98,26 +125,31 @@ def temporal_sde(temporal):
 
 
 def filter_runtime(model, n_steps, repeats=2):
-    """Seconds for one filter sweep over the first n_steps rows (best of repeats)."""
+    """CPU seconds of this thread for one filter sweep over the first n_steps
+    rows (best of repeats). Call it under single_threaded_blas(), so the
+    sweep's BLAS work runs on the calling thread and CPU time used by other
+    processes does not count."""
     times = model.grid.times[:n_steps]
     values = model.grid.values[:n_steps]
     best = np.inf
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.thread_time()
         model._filter(times, values)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.thread_time() - start)
     return best
 
 
 def filter_doubling_ratio(model, n_steps, pairs=7):
     """Median over pairs of the sweep time over n_steps rows divided by that
     over n_steps // 2. Each pair times the two sizes back to back, in
-    alternating order, so a burst of load skews one pair, not one size."""
+    alternating order, so a burst of load skews one pair, not one size. The
+    sweeps run on one BLAS thread and are timed in thread CPU time."""
     ratios = []
-    for k in range(pairs):
-        sizes = (n_steps // 2, n_steps) if k % 2 == 0 else (n_steps, n_steps // 2)
-        seconds = {size: filter_runtime(model, size, repeats=1) for size in sizes}
-        ratios.append(seconds[n_steps] / seconds[n_steps // 2])
+    with single_threaded_blas():
+        for k in range(pairs):
+            sizes = (n_steps // 2, n_steps) if k % 2 == 0 else (n_steps, n_steps // 2)
+            seconds = {size: filter_runtime(model, size, repeats=1) for size in sizes}
+            ratios.append(seconds[n_steps] / seconds[n_steps // 2])
     return float(np.median(ratios))
 
 

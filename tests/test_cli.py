@@ -262,6 +262,25 @@ def test_predict_names_malformed_kernel_dims(tmp_path, sensors, capsys, dims):
     assert not (model_path.parent / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "leaf", [[1], {"variance": "a"}, {"lengthscale": None}],
+    ids=["body-not-mapping", "string-variance", "null-lengthscale"],
+)
+def test_predict_names_malformed_kernel_values(tmp_path, sensors, capsys, leaf):
+    model_path = fit(tmp_path, sensors, MEAN_PREDICTOR)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["kernel"]["se"] = leaf
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    queries = tmp_path / "queries.csv"
+    queries.write_text(TWO_QUERIES, encoding="utf-8")
+    capsys.readouterr()
+    assert predict(model_path, queries) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "se kernel" in err
+    assert not (model_path.parent / "predictions.csv").exists()
+
+
 def test_predict_requires_model_flag(tmp_path):
     queries = tmp_path / "queries.csv"
     queries.write_text("latitude,longitude,timestamp\n0,0,2021-11-01T00:00:00Z\n")

@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensorgp import data
 from sensorgp.errors import FormatError, InputError
@@ -386,6 +387,40 @@ def test_summary_stats_constant_values():
     for box in stats.boxes["a"]:
         assert box.q1 == box.q3 == box.median == 5.0
         assert box.outliers == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("abc"), st.integers(0, 39), st.integers(0, 2),
+            st.one_of(st.sampled_from([0.0, 5.0, 12.5]), st.floats(0.0, 1e3)),
+        ),
+        min_size=1, max_size=120, unique_by=lambda r: (r[0], r[1], r[2]),
+    )
+)
+def test_summary_stats_match_per_group_numpy(cells):
+    # (site, day, hour-of-day, value) cells: groups of one to forty values,
+    # with ties and zero-IQR groups among them
+    readings = table([(site, 0.3, 32.6, 24 * day + hod, v) for site, day, hod, v in cells])
+    stats = data.summary_stats(readings)
+    groups = {}
+    for site, hour, value in zip(readings.site, readings.hour % 24, readings.pm25):
+        groups.setdefault((str(site), int(hour)), []).append(value)
+    boxes = [(site, box) for site, site_boxes in stats.boxes.items() for box in site_boxes]
+    assert [(site, box.hour) for site, box in boxes] == sorted(groups)
+    for site, box in boxes:
+        values = np.array(groups[site, box.hour])
+        q1, q3 = float(np.percentile(values, 25)), float(np.percentile(values, 75))
+        margin = 0.0 if q3 == q1 else 1.5 * (q3 - q1)
+        expected = (
+            values.size, float(np.median(values)), q1, q3, q1 - margin, q3 + margin,
+            sorted(float(v) for v in values if v < q1 - margin or v > q3 + margin),
+        )
+        got = (box.count, box.median, box.q1, box.q3, box.lower_fence, box.upper_fence,
+               box.outliers)
+        assert got == expected  # bit for bit: the stats files must not change
+        assert stats.site_hourly_means[site][box.hour] == float(values.mean())
 
 
 # ---------------------------------------------------------------------------

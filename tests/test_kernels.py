@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensorgp import kernels
 from sensorgp.errors import InputError
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, dense_grad_x, max_rel_err
 
 
 def point(k, a, b):
@@ -374,6 +374,13 @@ def test_config_roundtrip_keeps_every_tree(kernel, seed):
 # gradients with respect to inputs
 
 
+def input_adjoint(kernel, X, X2, Kbar):
+    theta_bar, Xbar = kernel.prepare(X, X2).gram_and_vjp()[1](Kbar, inputs=True)
+    # asking for X̄ leaves θ̄ as it is
+    assert np.array_equal(theta_bar, kernel.prepare(X, X2).gram_and_vjp()[1](Kbar))
+    return Xbar
+
+
 @pytest.mark.parametrize(
     "make_kernel",
     [
@@ -384,30 +391,47 @@ def test_config_roundtrip_keeps_every_tree(kernel, seed):
         lambda rng: kernels.SquaredExponential(1.1, [0.8, 1.3], dims=[2, 0])
         * kernels.Periodic(0.9, 1.2, 3.0, dims=[2])
         + kernels.SquaredExponential(0.7, 1.4, dims=[1, 2]),
+        lambda rng: kernels.Periodic(1.2, 0.9, 2.5, learn_period=True, dims=[0, 2])
+        * kernels.SquaredExponential(0.8, 1.1, dims=[1]),
+        lambda rng: kernels.SquaredExponential(1.3, rng.uniform(0.5, 2.0, size=3)),
     ],
-    ids=["random-tree", "one-factor-product", "overlapping-dims"],
+    ids=["random-tree", "one-factor-product", "overlapping-dims", "learned-period", "ard"],
 )
 def test_grad_x_finite_difference(make_kernel):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(4, 3))
     Z = rng.normal(size=(5, 3))
     k = make_kernel(rng)
-    G = k.grad_x(X, Z)
-    assert G.shape == (4, 5, 3)
-    h = 1e-6
-    for d in range(3):
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, d] += h
-        Xm[:, d] -= h
-        fd = (k.gram(Xp, Z) - k.gram(Xm, Z)) / (2.0 * h)
-        np.testing.assert_allclose(G[:, :, d], fd, atol=1e-6)
+    Kbar = rng.normal(size=(4, 5))
+    Xbar = input_adjoint(k, X, Z, Kbar)
+    assert Xbar.shape == (4, 3)
+    fd = central_diff(lambda x: np.sum(Kbar * k.gram(x.reshape(X.shape), Z)), X.ravel())
+    np.testing.assert_allclose(Xbar, fd.reshape(X.shape), atol=1e-6)
+    assert np.array_equal(k.grad_x(X, Z, Kbar), Xbar)
 
 
 def test_grad_x_zero_at_coincident_points_for_se():
     k = kernels.SquaredExponential(1.0, 1.0)
     X = np.array([[0.3, -0.2]])
-    G = k.grad_x(X, X)
-    np.testing.assert_allclose(G, 0.0, atol=1e-14)
+    np.testing.assert_allclose(k.grad_x(X, X, np.ones((1, 1))), 0.0, atol=1e-14)
+
+
+def test_diagonal_has_no_input_adjoint():
+    _, vjp = kernels.SquaredExponential().prepare_diag(np.zeros((3, 2))).gram_and_vjp()
+    with pytest.raises(InputError, match="input adjoint"):
+        vjp(np.ones(3), inputs=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=kernel_trees, seed=st.integers(0, 2**32 - 1))
+def test_input_adjoint_contracts_dense_derivatives(kernel, seed):
+    rng = np.random.default_rng(seed)
+    X, X2 = rng.normal(size=(6, WIDTH)), rng.normal(size=(5, WIDTH))
+    Kbar = rng.normal(size=(6, 5))
+    terms = Kbar[..., None] * dense_grad_x(kernel, X, X2)
+    # relative to the sum of magnitudes: the sum itself may cancel
+    bound = 1e-12 * np.sum(np.abs(terms), axis=1)
+    assert np.all(np.abs(input_adjoint(kernel, X, X2, Kbar) - terms.sum(axis=1)) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +538,24 @@ def test_config_errors_name_the_problem():
         kernels.from_config({"se": {"ard": True}})  # no way to size lengthscales
     with pytest.raises(InputError):
         kernels.from_config("se")
+
+
+@pytest.mark.parametrize(
+    "node, named",
+    [
+        ({"se": [1]}, "se kernel config must be a mapping"),
+        ({"se": {"variance": "a"}}, "se kernel variance"),
+        ({"periodic": {"period": [1, 2]}}, "periodic kernel period"),
+        ({"se": {"lengthscale": None}}, "se kernel lengthscale"),
+        ({"periodic": {"variance": float("nan")}}, "periodic kernel variance"),
+        ({"se": {"ard": "yes", "dims": [0]}}, "se kernel ard"),
+    ],
+    ids=["body-not-mapping", "string-variance", "list-period", "null-lengthscale",
+         "nan-variance", "string-flag"],
+)
+def test_config_values_fail_with_a_named_error(node, named):
+    with pytest.raises(InputError, match=named):
+        kernels.from_config(node)
 
 
 def test_rescale_periods_divides_by_column_scale():
