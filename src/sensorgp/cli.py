@@ -331,7 +331,7 @@ def build_parser():
         p.add_argument("--out-dir", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument(
-            "--backend", choices=eval_mod.BACKENDS, default=None,
+            "--backend", choices=tuple(model_io.BACKENDS), default=None,
             help="restrict or override the model backend",
         )
 

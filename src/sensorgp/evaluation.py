@@ -21,12 +21,8 @@ from . import data as data_mod
 from . import kernels as kernels_mod
 from . import linalg, model_io
 from .errors import ConfigError, InputError, ProtocolError
-from .exact_gp import GPModel, subsample
 from .optim import OptimizerOptions
-from .statespace import StateSpaceGP
-from .svgp import SVGPModel
 
-BACKENDS = tuple(model_io.BACKENDS)  # exact, svgp, statespace
 DAILY_HOURS = 24.0
 WEEKLY_HOURS = 168.0
 
@@ -42,7 +38,7 @@ def rmse(predictions, truths):
 
 @dataclass
 class ExperimentConfig:
-    """One row of the comparison matrix: a backend plus the factor flags."""
+    """One row of the comparison matrix: a backend in model_io.BACKENDS plus the flags."""
 
     backend: str = "exact"
     name: str = None
@@ -50,11 +46,11 @@ class ExperimentConfig:
     clean_outliers: bool = False
     additional_inputs: bool = False
     subsample: int = 1000                 # exact backend only
-    repetitions: int = None               # default 4 for exact, else 1
+    repetitions: int = None               # default len(seeds), else the backend class's
     seeds: tuple = None                   # default (1, .., repetitions)
     n_inducing: int = 100
     batch_size: int = 256
-    budget: int = None                    # default 500, but 5000 for svgp
+    budget: int = None                    # default the backend class's
     learning_rate: float = 0.05
     temporal: str = "matern32"
     outlier_factor: float = 1.5
@@ -69,40 +65,38 @@ class ExperimentConfig:
     def resolved(self):
         """Fill defaults, validate, and return a fully concrete copy."""
         cfg = replace(self)
-        if cfg.backend not in BACKENDS:
-            raise ConfigError(f"unknown backend {cfg.backend!r} (expected one of {BACKENDS})")
-        if cfg.backend == "statespace" and (cfg.periodic or cfg.additional_inputs):
+        cls = model_io.BACKENDS.get(cfg.backend)
+        if cls is None:
             raise ConfigError(
-                "the state-space backend supports neither periodic kernels nor "
+                f"unknown backend {cfg.backend!r} (expected one of {tuple(model_io.BACKENDS)})"
+            )
+        if cls.spatial_only and (cfg.periodic or cfg.additional_inputs):
+            raise ConfigError(
+                f"the {cfg.backend} backend supports neither periodic kernels nor "
                 "additional input columns"
             )
+        if cfg.seeds is not None:
+            cfg.seeds = tuple(int(s) for s in cfg.seeds)
         if cfg.repetitions is None:
-            cfg.repetitions = 4 if cfg.backend == "exact" else 1
+            cfg.repetitions = cls.repetitions if cfg.seeds is None else len(cfg.seeds)
         if cfg.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if cfg.seeds is None:
             cfg.seeds = tuple(range(1, cfg.repetitions + 1))
-        else:
-            cfg.seeds = tuple(int(s) for s in cfg.seeds)
         if len(cfg.seeds) != cfg.repetitions:
             raise ConfigError(
                 f"got {len(cfg.seeds)} seeds for {cfg.repetitions} repetitions"
             )
         if cfg.budget is None:
-            cfg.budget = 5000 if cfg.backend == "svgp" else 500
+            cfg.budget = cls.budget
         if cfg.subsample < 1:
             raise ConfigError("subsample size must be positive")
         if cfg.n_inducing < 1:
             raise ConfigError("need at least one inducing point")
         if cfg.name is None:
-            tags = [cfg.backend]
-            if cfg.periodic:
-                tags.append("periodic")
-            if cfg.clean_outliers:
-                tags.append("cleaned")
-            if cfg.additional_inputs:
-                tags.append("inputs")
-            cfg.name = "-".join(tags)
+            tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
+                    "inputs": cfg.additional_inputs}
+            cfg.name = "-".join([cfg.backend] + [tag for tag, on in tags.items() if on])
         return cfg
 
     def optimizer_options(self, seed):
@@ -114,12 +108,11 @@ class ExperimentConfig:
         )
 
     def flags_row(self):
-        sparse = {"exact": "none", "svgp": "SVGP", "statespace": "ST"}[self.backend]
         return {
             "periodic": self.periodic,
             "outliers_removed": self.clean_outliers,
             "additional_inputs": self.additional_inputs,
-            "sparse": sparse,
+            "sparse": model_io.BACKENDS[self.backend].label,
         }
 
 
@@ -182,33 +175,11 @@ def _clean_training(train, config):
 
 
 def fit_model(dataset, config, seed):
-    """Build the backend a resolved config names and fit it; returns (model, FitResult).
-
-    The exact backend trains on a seeded subsample when the dataset is
-    larger than `config.subsample`.
-    """
-    opts = config.optimizer_options(seed)
-    if config.backend == "statespace":
-        spatial = kernels_mod.SquaredExponential(
-            config.kernel_variance, config.kernel_lengthscale
-        )
-        model = StateSpaceGP.from_dataset(
-            spatial, config.temporal, dataset, noise_variance=config.noise_variance
-        )
-        return model, model.fit(opts)
+    """Fit the backend class a resolved config names; returns (model, FitResult)."""
     kernel = kernels_mod.rescale_periods(
         _build_kernel(dataset.columns, config), dataset.col_scale
     )
-    if config.backend == "svgp":
-        model = SVGPModel.from_dataset(
-            kernel, dataset, min(config.n_inducing, dataset.n),
-            noise_variance=config.noise_variance, seed=seed,
-        )
-        return model, model.fit(opts, optimize_inducing=config.optimize_inducing)
-    if config.subsample < dataset.n:
-        dataset = subsample(dataset, config.subsample, seed)
-    model = GPModel.from_dataset(kernel, dataset, noise_variance=config.noise_variance)
-    return model, model.fit(opts)
+    return model_io.BACKENDS[config.backend].fit_experiment(kernel, dataset, config, seed)
 
 
 def _fit_and_predict(train, test, config, seed):

@@ -11,7 +11,7 @@ by LAPACK dpotri and the training inputs' kernel terms prepared once per
 fit, so a step forms no derivative matrix per parameter.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyr
@@ -47,7 +47,12 @@ def query_matrix(Xq, n_cols):
 class GPModel:
     """GP regression model with a constant learned mean and Gaussian noise."""
 
-    backend = "exact"  # its name in model files
+    backend = "exact"      # its name in model files
+    label = "none"         # the comparison table's Sparse column
+    repetitions = 4        # default number of seeds per experiment row
+    budget = 500           # default optimizer step budget
+    spatial_only = False   # True rejects periodic rows and covariate columns
+    stores_rows = True     # the model file keeps the training rows
 
     def __init__(self, kernel, X, y, noise_variance=0.1, mean=None):
         if noise_variance <= 0:
@@ -73,24 +78,24 @@ class GPModel:
         model.dataset = dataset
         return model
 
-    # -- model file block: kernel and training rows -------------------------
+    @classmethod
+    def fit_experiment(cls, kernel, dataset, config, seed):
+        """Fit one experiment row on a seeded subsample of at most `config.subsample` rows."""
+        if config.subsample < dataset.n:
+            dataset = subsample(dataset, config.subsample, seed)
+        model = cls.from_dataset(kernel, dataset, config.noise_variance)
+        return model, model.fit(config.optimizer_options(seed))
+
+    # -- model file block: the kernel (model_io keeps the training rows) ----
 
     def to_doc(self):
-        return {
-            "kernel": to_config(self.kernel),
-            "train": {"X": self.X.tolist(), "y": self.y.tolist()},
-        }
+        return {"kernel": to_config(self.kernel)}
 
     @classmethod
     def from_doc(cls, doc, dataset):
-        """Rebuild from a model file; `dataset` carries its normalization, no rows."""
-        train = replace(
-            dataset,
-            X=np.array(doc["train"]["X"], dtype=float),
-            y=np.array(doc["train"]["y"], dtype=float),
-        )
+        """Rebuild from a model file; `dataset` carries its normalization and rows."""
         return cls.from_dataset(
-            from_config(doc["kernel"]), train, float(doc["noise_variance"]), float(doc["mean"])
+            from_config(doc["kernel"]), dataset, float(doc["noise_variance"]), float(doc["mean"])
         )
 
     @property

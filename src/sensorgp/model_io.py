@@ -2,12 +2,12 @@
 
 A model file carries everything prediction needs. This module writes the
 envelope: format marker and version, noise variance and prior mean, the
-input normalization statistics, the backend name and an optional fit
-block. Each backend writes and reads its own block through `to_doc` and
-`from_doc` (kernels, plus training rows for the dense and state-space
-backends, or inducing locations and the whitened variational parameters
-for the sparse one). Loading reconstructs a model that predicts
-identically without refitting, and that can be saved again.
+input normalization statistics, the backend name, the training rows when
+the class sets `stores_rows`, and an optional fit block. Each backend
+writes and reads its own block through `to_doc` and `from_doc` (kernels,
+plus inducing locations and whitened variational parameters for SVGP).
+Loading rejects NaN and Infinity, and reconstructs a model that predicts
+identically without refitting and that can be saved again.
 """
 
 import json
@@ -37,21 +37,23 @@ def _normalization_block(dataset):
     }
 
 
-def _dataset_without_rows(norm):
-    """Inverse of _normalization_block: a Dataset with the statistics and no rows."""
+def _stored_dataset(doc, with_rows):
+    """Inverse of _normalization_block, with the "train" rows when the file keeps them."""
+    norm = doc["normalization"]
     columns = tuple(norm["columns"])
     t0 = datetime.fromisoformat(norm["t0"])
     if t0.tzinfo is None:
         t0 = t0.replace(tzinfo=timezone.utc)
+    rows = doc["train"] if with_rows else {"X": np.empty((0, len(columns))), "y": ()}
     return Dataset(
-        np.empty((0, len(columns))), np.empty(0), columns,
+        np.array(rows["X"], dtype=float), np.array(rows["y"], dtype=float), columns,
         np.array(norm["col_mean"], dtype=float), np.array(norm["col_scale"], dtype=float),
         float(norm["y_mean"]), float(norm["y_scale"]), t0,
     )
 
 
 def save_model(path, model, fit_info=None):
-    """Write one fitted model; requires a model built from a Dataset."""
+    """Write one fitted model and its FitResult, if given; needs a model built from a Dataset."""
     if model.dataset is None:
         raise InputError("only models built from a Dataset can be saved")
     doc = {
@@ -63,15 +65,14 @@ def save_model(path, model, fit_info=None):
         "backend": model.backend,
         **model.to_doc(),
     }
+    if model.stores_rows:
+        doc["train"] = {"X": model.dataset.X.tolist(), "y": model.dataset.y.tolist()}
     if fit_info is not None:
-        if isinstance(fit_info, dict):
-            doc["fit"] = dict(fit_info)
-        else:
-            doc["fit"] = {
-                "objective": fit_info.objective,
-                "iterations": fit_info.iterations,
-                "converged": fit_info.converged,
-            }
+        doc["fit"] = {
+            "objective": fit_info.objective,
+            "iterations": fit_info.iterations,
+            "converged": fit_info.converged,
+        }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
@@ -81,7 +82,6 @@ class LoadedModel:
     """A reconstructed model; its `dataset` holds the normalization that serves queries."""
 
     def __init__(self, model):
-        self.backend = model.backend
         self.model = model
 
     def predict_readings(self, readings):
@@ -95,9 +95,12 @@ class LoadedModel:
 
 
 def load_model(path):
+    def reject(literal):
+        raise FormatError(f"{path}: {literal} is not a finite number")
+
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=reject)
         except json.JSONDecodeError as err:
             raise FormatError(f"{path}: not a valid model file ({err})") from None
     if doc.get("format") != MODEL_FORMAT:
@@ -106,6 +109,6 @@ def load_model(path):
     if cls is None:
         raise FormatError(f"{path}: unknown backend {doc.get('backend')!r}")
     try:
-        return LoadedModel(cls.from_doc(doc, _dataset_without_rows(doc["normalization"])))
+        return LoadedModel(cls.from_doc(doc, _stored_dataset(doc, cls.stores_rows)))
     except KeyError as err:
         raise FormatError(f"{path}: missing key {err.args[0]!r}") from None

@@ -16,7 +16,7 @@ independent of the whole on-grid process.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
@@ -206,6 +206,11 @@ class StateSpaceGP:
     """Exact GP regression for separable kernels, linear in the number of hours."""
 
     backend = "statespace"  # its name in model files
+    label = "ST"            # the comparison table's Sparse column
+    repetitions = 1         # default number of seeds per experiment row
+    budget = 500            # default optimizer step budget
+    spatial_only = True     # rejects periodic rows and covariate columns
+    stores_rows = True      # the model file keeps the training rows
 
     def __init__(self, spatial_kernel, temporal, X, y, noise_variance=0.1, mean=None):
         self.spatial_kernel = spatial_kernel.copy()
@@ -229,7 +234,13 @@ class StateSpaceGP:
         model.dataset = dataset
         return model
 
-    # -- model file block: both kernels and the training rows ---------------
+    @classmethod
+    def fit_experiment(cls, kernel, dataset, config, seed):
+        """Fit one experiment row: `kernel` over space, `config.temporal` over time."""
+        model = cls.from_dataset(kernel, config.temporal, dataset, config.noise_variance)
+        return model, model.fit(config.optimizer_options(seed))
+
+    # -- model file block: both kernels (model_io keeps the training rows) --
 
     def to_doc(self):
         return {
@@ -239,24 +250,18 @@ class StateSpaceGP:
                 "variance": self.temporal.variance,
                 "lengthscale": self.temporal.lengthscale,
             },
-            "train": {"X": self.dataset.X.tolist(), "y": self.dataset.y.tolist()},
         }
 
     @classmethod
     def from_doc(cls, doc, dataset):
-        """Rebuild from a model file; `dataset` carries its normalization, no rows."""
+        """Rebuild from a model file; `dataset` carries its normalization and rows."""
         temporal = temporal_kernel(
             doc["temporal"]["family"],
             float(doc["temporal"]["variance"]),
             float(doc["temporal"]["lengthscale"]),
         )
-        train = replace(
-            dataset,
-            X=np.array(doc["train"]["X"], dtype=float),
-            y=np.array(doc["train"]["y"], dtype=float),
-        )
         return cls.from_dataset(
-            from_config(doc["spatial_kernel"]), temporal, train,
+            from_config(doc["spatial_kernel"]), temporal, dataset,
             float(doc["noise_variance"]), float(doc["mean"]),
         )
 

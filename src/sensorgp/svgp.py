@@ -65,7 +65,12 @@ def init_inducing(X, m, seed=0):
 class SVGPModel:
     """GP regression with an O(n m^2) variational bound instead of O(n^3)."""
 
-    backend = "svgp"  # its name in model files
+    backend = "svgp"       # its name in model files
+    label = "SVGP"         # the comparison table's Sparse column
+    repetitions = 1        # default number of seeds per experiment row
+    budget = 5000          # default optimizer step budget
+    spatial_only = False   # True rejects periodic rows and covariate columns
+    stores_rows = False    # the model file keeps no training rows
 
     def __init__(self, kernel, X, y, inducing, noise_variance=0.1, seed=0, mean=None):
         self.kernel = kernel.copy()
@@ -102,6 +107,14 @@ class SVGPModel:
         model = cls(kernel, dataset.X, dataset.y, inducing, noise_variance, seed, mean)
         model.dataset = dataset
         return model
+
+    @classmethod
+    def fit_experiment(cls, kernel, dataset, config, seed):
+        """Fit one experiment row on min(n_inducing, n) seeded inducing points."""
+        model = cls.from_dataset(
+            kernel, dataset, min(config.n_inducing, dataset.n), config.noise_variance, seed
+        )
+        return model, model.fit(config.optimizer_options(seed), config.optimize_inducing)
 
     # -- model file block: kernel, inducing locations, whitened q(w) --------
 

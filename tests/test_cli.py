@@ -281,6 +281,22 @@ def test_predict_names_malformed_kernel_values(tmp_path, sensors, capsys, leaf):
     assert not (model_path.parent / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_predict_names_non_finite_model_values(tmp_path, sensors, capsys, backend):
+    model_path = fit(tmp_path, sensors, {**MEAN_PREDICTOR, "backend": backend})
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["mean"] = float("nan")              # json writes the NaN literal
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    queries = tmp_path / "queries.csv"
+    queries.write_text(TWO_QUERIES, encoding="utf-8")
+    capsys.readouterr()
+    assert predict(model_path, queries) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "NaN is not a finite number" in err
+    assert not (model_path.parent / "predictions.csv").exists()
+
+
 def test_predict_requires_model_flag(tmp_path):
     queries = tmp_path / "queries.csv"
     queries.write_text("latitude,longitude,timestamp\n0,0,2021-11-01T00:00:00Z\n")

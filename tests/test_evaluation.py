@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sensorgp import evaluation as ev
-from sensorgp import linalg
+from sensorgp import linalg, model_io
 from sensorgp.errors import ConfigError, InputError, ProtocolError
+from sensorgp.exact_gp import GPModel
 from helpers import table
 
 
@@ -56,6 +57,10 @@ def test_config_defaults_per_backend():
     assert svgp.repetitions == 1 and svgp.budget == 5000
     ss = ev.ExperimentConfig(backend="statespace").resolved()
     assert ss.repetitions == 1
+    seeded = ev.ExperimentConfig(backend="svgp", seeds=(1, 2)).resolved()
+    assert seeded.repetitions == 2 and seeded.seeds == (1, 2)
+    seeded = ev.ExperimentConfig(backend="exact", seeds=[7]).resolved()
+    assert seeded.repetitions == 1 and seeded.seeds == (7,)
 
 
 def test_config_validation_errors():
@@ -69,6 +74,8 @@ def test_config_validation_errors():
         ev.ExperimentConfig(repetitions=0).resolved()
     with pytest.raises(ConfigError):
         ev.ExperimentConfig(repetitions=2, seeds=(1, 2, 3)).resolved()
+    with pytest.raises(ConfigError, match="3 seeds for 1 repetitions"):
+        ev.ExperimentConfig(backend="svgp", repetitions=1, seeds=(1, 2, 3)).resolved()
 
 
 def test_default_matrix_flag_pattern():
@@ -86,6 +93,37 @@ def test_default_matrix_flag_pattern():
         for r in rows
     ]
     assert got == pattern
+
+
+def test_evaluation_reads_backend_facts_from_the_registry(monkeypatch):
+    fits = []
+
+    class Stub(GPModel):
+        backend, label, repetitions, budget = "stub", "STUB", 2, 3
+
+        @classmethod
+        def fit_experiment(cls, kernel, dataset, config, seed):
+            fits.append((config.budget, seed))
+            return super().fit_experiment(kernel, dataset, config, seed)
+
+    monkeypatch.setitem(model_io.BACKENDS, "stub", Stub)
+    config = ev.ExperimentConfig(
+        backend="stub", kernel_variance=1e-12, noise_variance=1.0, learning_rate=1e-9
+    )
+    resolved = config.resolved()
+    assert (resolved.repetitions, resolved.seeds, resolved.budget) == (2, (1, 2), 3)
+    assert resolved.name == "stub" and resolved.flags_row()["sparse"] == "STUB"
+
+    readings = [mk(site, lat, 32.5, h, 20.0) for h in range(72)
+                for site, lat in (("a", 0.3), ("b", 0.4))]
+    report = ev.forecast_holdout(table(readings), config)
+    assert fits == [(3, 1), (3, 2)]
+    assert report.per_repetition["a"] == pytest.approx([0.0, 0.0], abs=1e-6)
+    assert ev.comparison_rows([report])[0]["sparse"] == "STUB"
+
+    Stub.spatial_only = True
+    with pytest.raises(ConfigError, match="stub backend supports neither"):
+        ev.ExperimentConfig(backend="stub", periodic=True).resolved()
 
 
 # ---------------------------------------------------------------------------

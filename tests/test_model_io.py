@@ -1,4 +1,6 @@
 import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sensorgp import kernels, model_io
 from sensorgp.data import build_dataset, synth_generate
 from sensorgp.errors import FormatError, InputError
 from sensorgp.exact_gp import GPModel
+from sensorgp.optim import FitResult
 from sensorgp.statespace import StateSpaceGP
 from sensorgp.svgp import SVGPModel
 
@@ -24,9 +27,9 @@ def test_exact_roundtrip(tmp_path, corpus):
     )
     model = GPModel.from_dataset(k, ds, noise_variance=0.2)
     path = tmp_path / "model.json"
-    model_io.save_model(path, model, fit_info={"objective": -1.0, "iterations": 3})
+    model_io.save_model(path, model, FitResult({}, -1.0, 3, False))
     loaded = model_io.load_model(path)
-    assert loaded.backend == "exact"
+    assert loaded.model.backend == "exact"
     mean, lstd, ostd = loaded.predict_readings(readings.take(np.arange(20)))
     direct = model.predict(ds.encode_inputs(readings.take(np.arange(20))))
     np.testing.assert_allclose(mean, ds.decode_targets(direct.mean), atol=1e-10)
@@ -44,7 +47,7 @@ def test_svgp_roundtrip(tmp_path, corpus):
     path = tmp_path / "model.json"
     model_io.save_model(path, model)
     loaded = model_io.load_model(path)
-    assert loaded.backend == "svgp"
+    assert loaded.model.backend == "svgp"
     mean, lstd, _ = loaded.predict_readings(readings.take(np.arange(30)))
     direct = model.predict(ds.encode_inputs(readings.take(np.arange(30))))
     np.testing.assert_allclose(mean, ds.decode_targets(direct.mean), atol=1e-9)
@@ -59,7 +62,7 @@ def test_statespace_roundtrip(tmp_path, corpus):
     path = tmp_path / "model.json"
     model_io.save_model(path, model)
     loaded = model_io.load_model(path)
-    assert loaded.backend == "statespace"
+    assert loaded.model.backend == "statespace"
     assert loaded.model.temporal.name == "matern32"
     mean, lstd, _ = loaded.predict_readings(readings.take(np.arange(15)))
     direct = model.predict(ds.encode_inputs(readings.take(np.arange(15))))
@@ -97,6 +100,37 @@ def test_loaded_model_saves_the_same_file(tmp_path, corpus, backend):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_training_rows_only_where_the_class_stores_them(tmp_path, corpus, backend):
+    _, ds = corpus
+    path = tmp_path / "model.json"
+    model_io.save_model(path, build(backend, ds))
+    blob = json.loads(path.read_text())
+    cls = model_io.BACKENDS[backend]
+    assert ("train" in blob) == cls.stores_rows
+    loaded = model_io.load_model(path).model.dataset
+    assert loaded.n == (ds.n if cls.stores_rows else 0)
+    if cls.stores_rows:
+        np.testing.assert_array_equal(loaded.X, ds.X)
+        np.testing.assert_array_equal(loaded.y, ds.y)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("mean", np.nan), ("noise_variance", np.nan), ("mean", -np.inf)]
+)
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_non_finite_model_file_values_rejected(tmp_path, corpus, backend, key, value):
+    _, ds = corpus
+    path = tmp_path / "model.json"
+    model_io.save_model(path, build(backend, ds))
+    blob = json.loads(path.read_text())
+    blob[key] = value                      # json writes NaN / -Infinity literals
+    path.write_text(json.dumps(blob))
+    literal = json.dumps(value)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {literal} is not a finite")):
+        model_io.load_model(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
 def test_non_finite_queries_rejected(tmp_path, corpus, backend, bad):
@@ -118,12 +152,12 @@ def test_file_shape_and_fit_info(tmp_path, corpus):
     _, ds = corpus
     model = GPModel.from_dataset(kernels.SquaredExponential(), ds)
     path = tmp_path / "model.json"
-    model_io.save_model(path, model, fit_info={"objective": 2.5})
+    model_io.save_model(path, model, FitResult({"mean": 0.0}, 2.5, 7, True))
     blob = json.loads(path.read_text())
     assert blob["format"] == model_io.MODEL_FORMAT
     assert blob["version"] == model_io.MODEL_VERSION
     assert blob["backend"] == "exact"
-    assert blob["fit"]["objective"] == 2.5
+    assert blob["fit"] == {"objective": 2.5, "iterations": 7, "converged": True}
     assert "normalization" in blob and "columns" in blob["normalization"]
 
 
