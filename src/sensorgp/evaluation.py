@@ -11,6 +11,7 @@ Outlier cleaning is applied to training folds only; test targets are
 never touched.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -60,6 +61,8 @@ class ExperimentConfig:
     kernel_variance: float = 1.0
     kernel_lengthscale: float = 1.0
     optimize_inducing: bool = True
+    # nowcast folds at once, capped at usable_cores(): a fold thread beyond
+    # the cores only waits for the GIL and adds switching
     parallelism: int = 4
 
     def resolved(self):
@@ -93,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("subsample size must be positive")
         if cfg.n_inducing < 1:
             raise ConfigError("need at least one inducing point")
+        if type(cfg.parallelism) is not int or cfg.parallelism < 1:
+            raise ConfigError(
+                f"parallelism must be a positive integer, got {cfg.parallelism!r}"
+            )
         if cfg.name is None:
             tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
                     "inputs": cfg.additional_inputs}
@@ -208,6 +215,14 @@ def _finalize(protocol, config, site_reps, pooled_reps, fold_seconds, omitted):
     )
 
 
+def usable_cores():
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def nowcast_loo(readings, config):
     """Leave-one-site-out: train on every other site, predict the held-out one."""
     config = config.resolved()
@@ -229,9 +244,10 @@ def nowcast_loo(readings, config):
             fold_errors.append(mean - test.pm25)
         return site, fold_rmses, fold_errors, time.perf_counter() - start
 
-    # the folds' small matrices gain nothing from BLAS threads; the pool gets the cores
+    # the folds' small matrices gain nothing from BLAS threads; the pool gets
+    # the cores, and no more threads than cores
     with linalg.single_threaded_blas(), ThreadPoolExecutor(
-        max_workers=max(1, config.parallelism)
+        max_workers=min(config.parallelism, usable_cores())
     ) as pool:
         results = list(pool.map(run_fold, sites))
 

@@ -9,8 +9,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import NumericalError
 
@@ -55,8 +54,19 @@ def chol_with_jitter(A):
 
 
 def tri_solve(L, B, trans=False):
-    """Solve L x = B (or L^T x = B when trans) for lower-triangular L."""
-    return solve_triangular(L, B, lower=True, trans=1 if trans else 0, check_finite=False)
+    """Solve L x = B (or L^T x = B when trans) for lower-triangular L.
+
+    One LAPACK dtrtrs call, set up as scipy's solve_triangular sets it up, so
+    the result is the same to the bit without scipy's checks per call. A C-order
+    L is read as its Fortran-order transpose, which is upper triangular.
+    """
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, B, lower=1, trans=int(trans))
+    else:
+        x, info = dtrtrs(L.T, B, lower=0, trans=int(not trans))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
+    return x
 
 
 def chol_solve(L, B):

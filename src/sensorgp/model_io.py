@@ -73,9 +73,12 @@ def save_model(path, model, fit_info=None):
             "iterations": fit_info.iterations,
             "converged": fit_info.converged,
         }
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise InputError(f"{path}: the model holds a non-finite value") from None
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 class LoadedModel:

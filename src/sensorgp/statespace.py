@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dtrtri
 
 from . import optim
 from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
-from .linalg import chol_solve, chol_with_jitter
+from .linalg import chol_solve, chol_with_jitter, tri_solve
 
 
 def _sandwich(L, P, R, S, q):
@@ -41,12 +41,6 @@ def _kron_tangents(Ks, dKs, Pt, dPt):
     """Tangents of Ks (x) Pt: dKs_i (x) Pt per spatial parameter, then
     Ks (x) dPt_j per temporal one, as one (len(dKs) + 2, n, n) array."""
     return np.stack([np.kron(dK, Pt) for dK in dKs] + [np.kron(Ks, d) for d in dPt])
-
-
-def _lower_solve(L, B):
-    """L^-1 B for lower-triangular L, in one LAPACK call (L^T is L's Fortran view)."""
-    X, _ = dtrtrs(L.T, B, lower=0, trans=1)
-    return X
 
 
 class TemporalKernel:
@@ -390,7 +384,7 @@ class StateSpaceGP:
                 Ls, _ = chol_with_jitter(Smat)
                 e = row[obs] - self.mean - m[rows]
                 # one solve: [W | v] = Ls^-1 [H P | e]
-                Wv = _lower_solve(Ls, np.column_stack([P[rows], e]))
+                Wv = tri_solve(Ls, np.column_stack([P[rows], e]))
                 W, v = Wv[:, :n], Wv[:, n]
                 loglik += -0.5 * (v @ v) - np.sum(np.log(np.diag(Ls))) \
                     - 0.5 * obs.size * LOG_2PI

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +78,9 @@ def test_config_validation_errors():
         ev.ExperimentConfig(repetitions=2, seeds=(1, 2, 3)).resolved()
     with pytest.raises(ConfigError, match="3 seeds for 1 repetitions"):
         ev.ExperimentConfig(backend="svgp", repetitions=1, seeds=(1, 2, 3)).resolved()
+    for bad in (0, -3, True, False, "4", 2.0, None):
+        with pytest.raises(ConfigError, match="parallelism must be a positive integer"):
+            ev.ExperimentConfig(parallelism=bad).resolved()
 
 
 def test_default_matrix_flag_pattern():
@@ -199,18 +204,74 @@ SMALL_SVGP = dict(
 )
 
 
+SMALL_STATESPACE = dict(
+    backend="statespace", budget=5, repetitions=1, seeds=(1,), parallelism=1,
+)
+
+
 @pytest.mark.parametrize(
     "readings, config",
-    [(two_constant_sites, MEAN_PREDICTOR), (wavy_sites, SMALL_SVGP)],
-    ids=["exact-mean", "svgp"],
+    [(two_constant_sites, MEAN_PREDICTOR), (wavy_sites, SMALL_SVGP),
+     (wavy_sites, SMALL_STATESPACE)],
+    ids=["exact-mean", "svgp", "statespace"],
 )
-def test_nowcast_parallelism_does_not_change_results(readings, config):
+def test_nowcast_parallelism_does_not_change_results(monkeypatch, readings, config):
     readings = readings()
     r1 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**config))
+    monkeypatch.setattr(ev, "usable_cores", lambda: 4)   # four threads on any box
     r4 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**{**config, "parallelism": 4}))
     assert len(r1.per_site) > 1
     assert r1.per_site == r4.per_site
     assert r1.avg_rmse == r4.avg_rmse
+
+
+def record_fold_threads(monkeypatch):
+    """The thread of every `_fit_and_predict` call, and the most calls ever running at once."""
+    idents, running, peak = [], [0], [0]
+    lock = threading.Lock()
+    fit_and_predict = ev._fit_and_predict
+
+    def recording(*args):
+        with lock:
+            idents.append(threading.get_ident())
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.02)                     # hold the fold so that others overlap it
+        try:
+            return fit_and_predict(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(ev, "_fit_and_predict", recording)
+    return idents, peak
+
+
+def test_nowcast_pool_never_outgrows_the_cores(monkeypatch):
+    idents, peak = record_fold_threads(monkeypatch)
+    monkeypatch.setattr(ev, "usable_cores", lambda: 1)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4})
+    report = ev.nowcast_loo(table(wavy_sites()), config)
+    assert len(report.per_site) == 4
+    assert len(idents) == 4 and len(set(idents)) == 1 and peak[0] == 1
+
+
+def test_nowcast_pool_never_outgrows_parallelism(monkeypatch):
+    idents, peak = record_fold_threads(monkeypatch)
+    monkeypatch.setattr(ev, "usable_cores", lambda: 3)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
+    report = ev.nowcast_loo(table(wavy_sites(n_sites=6)), config)
+    assert len(report.per_site) == 6
+    assert len(idents) == 6 and len(set(idents)) <= 2 and peak[0] <= 2
+
+
+def test_usable_cores_counts_the_affinity_set(monkeypatch):
+    assert ev.usable_cores() >= 1
+    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: {0, 5, 7})
+    assert ev.usable_cores() == 3
+    monkeypatch.delattr(ev.os, "sched_getaffinity")
+    monkeypatch.setattr(ev.os, "cpu_count", lambda: None)
+    assert ev.usable_cores() == 1
 
 
 @pytest.fixture()

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from sensorgp import linalg
 from sensorgp.errors import NumericalError
@@ -51,6 +53,27 @@ def test_tri_solve_matches_numpy():
     np.testing.assert_allclose(
         linalg.tri_solve(L, B, trans=True), np.linalg.solve(L.T, B), atol=1e-10
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    cols=st.one_of(st.none(), st.integers(0, 80)),
+    trans=st.booleans(),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tri_solve_is_scipy_bit_for_bit(n, cols, trans, fortran, seed):
+    # cols None is a 1-D right-hand side; fortran puts L in Fortran order
+    rng = np.random.default_rng(seed)
+    L = np.linalg.cholesky(spd(rng, n))
+    if fortran:
+        L = np.asfortranarray(L)
+    B = rng.normal(size=n if cols is None else (n, cols))
+    got = linalg.tri_solve(L, B, trans=trans)
+    want = solve_triangular(L, B, lower=True, trans=int(trans), check_finite=False)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_chol_solve_matches_inverse():

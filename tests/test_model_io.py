@@ -167,6 +167,15 @@ def test_save_requires_dataset(tmp_path):
         model_io.save_model(tmp_path / "m.json", model)
 
 
+def test_save_refuses_non_finite_values(tmp_path, corpus):
+    _, ds = corpus
+    model = GPModel.from_dataset(kernels.SquaredExponential(), ds, mean=float("nan"))
+    path = tmp_path / "model.json"
+    with pytest.raises(InputError, match=re.escape(f"{path}: the model holds a non-finite")):
+        model_io.save_model(path, model)
+    assert not path.exists()
+
+
 def test_load_rejects_other_formats(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"format": "something-else", "version": 1}))
