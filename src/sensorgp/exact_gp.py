@@ -89,14 +89,17 @@ class GPModel:
     # -- model file block: the kernel (model_io keeps the training rows) ----
 
     def to_doc(self):
-        return {"kernel": to_config(self.kernel)}
+        return {"kernel": to_config(self.kernel), "log_params": self.log_params().tolist()}
 
     @classmethod
     def from_doc(cls, doc, dataset):
         """Rebuild from a model file; `dataset` carries its normalization and rows."""
-        return cls.from_dataset(
+        model = cls.from_dataset(
             from_config(doc["kernel"]), dataset, float(doc["noise_variance"]), float(doc["mean"])
         )
+        if "log_params" in doc:
+            model.set_log_params(doc["log_params"])
+        return model
 
     @property
     def noise_variance(self):

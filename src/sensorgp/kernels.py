@@ -10,17 +10,23 @@ parameter vector is ordered depth-first over the tree (each leaf
 contributes ``log variance`` first, then its remaining parameters).
 
 ``prepare`` computes each leaf's hyperparameter-free base for an input
-pair once: squared distances (one block per column under ARD), or the
-summed ``sin^2`` terms of a fixed-period leaf; a learned period keeps the
-raw differences. A forward pass then costs one ``exp`` per leaf. Each leaf
-writes its derivatives once, as ``dK/dθ_p = K ∘ c_p M_p``: the reverse
-pass maps an adjoint K̄ to ``Σ K̄ ∘ dK/dθ_p`` for every parameter without
-forming those matrices (``Sum`` passes K̄ down, ``Product`` passes K̄
-times the other factors, a leaf reduces ``c_p ⟨K̄ ∘ K, M_p⟩``), and
-``gram_and_grads`` multiplies the same terms out into dense tangents. The
-same walk gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding
-its columns from ``W = K̄ ∘ K`` by ``(n, m)`` matrix products, with no
-``(n, m, d)`` array. A diagonal is the same tree over paired rows.
+pair once. Both usual bases are squared distances of an embedding f(x),
+``‖f‖² + ‖f′‖² − 2 f·f′``, so one matrix product gives the whole base with
+no ``(d, n, m)`` difference array: an SE uses f = x, and a fixed-period
+leaf f = ½(cos 2πx/p, sin 2πx/p), whose squared distance is the summed
+``sin^2(π(x - x')/p)`` (MacKay 1998). Under ARD an SE keeps one squared
+difference block per column, and a learned period the raw differences,
+because their gradients need them. A self-Gram's base is exactly
+symmetric with a zero diagonal, and a diagonal's base is zeros. A forward
+pass then costs one ``exp`` per leaf. Each leaf writes its derivatives
+once, as ``dK/dθ_p = K ∘ c_p M_p``: the reverse pass maps an adjoint K̄
+to ``Σ K̄ ∘ dK/dθ_p`` for every parameter without forming those matrices
+(``Sum`` passes K̄ down, ``Product`` passes K̄ times the other factors, a
+leaf reduces ``c_p ⟨K̄ ∘ K, M_p⟩``), and ``gram_and_grads`` multiplies
+the same terms out into dense tangents. The same walk gives
+X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding its columns
+from ``W = K̄ ∘ K`` by ``(n, m)`` matrix products, with no ``(n, m, d)``
+array. A diagonal is the same tree over paired rows.
 """
 
 import copy
@@ -82,6 +88,28 @@ def _times(a, b):
     if b is None:
         return a
     return a * b
+
+
+def _sqdist(F, F2):
+    """Squared distances between the rows of F and F2, (‖f‖² + ‖f′‖²) − 2 F F2ᵀ,
+    clamped at 0: one matrix product and no (d, n, m) array. The norm sum
+    comes first, so k(a, b) == k(b, a) bit for bit for single rows (larger
+    blocks agree to rounding: BLAS may order a product's terms by shape).
+    For F2 is F the product is numpy's symmetric rank-k update, so the
+    result is exactly symmetric, and its diagonal is set to exactly 0."""
+    norms = np.einsum("ij,ij->i", F, F)
+    if F2 is F:
+        sq = np.add.outer(norms, norms)
+        product = F @ F.T
+        product *= 2.0
+    else:
+        sq = np.add.outer(norms, np.einsum("ij,ij->i", F2, F2))
+        product = F @ (2.0 * F2).T    # the same bits as 2 (F F2ᵀ), one pass fewer
+    sq -= product
+    np.maximum(sq, 0.0, out=sq)
+    if F2 is F:
+        np.fill_diagonal(sq, 0.0)
+    return sq
 
 
 def _inner(*arrays):
@@ -228,7 +256,10 @@ class _Leaf(Kernel):
         return X[:, self.dims]
 
     def _base(self, X, X2, paired):
-        return self._column_base(self._columns(X), self._columns(X2), paired)
+        # a self-Gram is exactly symmetric only if the leaf still knows it is one
+        same = X2 is X
+        X = self._columns(X)
+        return self._column_base(X, X if same else self._columns(X2), paired)
 
     def param_names(self, prefix=""):
         if self.dims is not None:
@@ -279,13 +310,15 @@ class SquaredExponential(_Leaf):
         width = np.atleast_1d(self.log_lengthscale).size
         if self.ard and X.shape[1] != width:
             raise InputError(f"ARD kernel built for {width} dims, got {X.shape[1]}")
-        # column-major differences, (d, n, m) in C order, squared in place: each
-        # column's block is contiguous and the sum adds whole blocks in column
-        # order, with no (n, m, d) temporaries
-        A, B = (X.T, X2.T) if paired else (X.T[:, :, None], X2.T[:, None, :])
-        sq = np.subtract(A, B, order="C")
+        if paired:    # the diagonal: every distance is zero
+            return np.zeros((width, len(X)))
+        if not self.ard:
+            return _sqdist(X, X2)[None]
+        # column-major differences, (d, n, m) in C order, squared in place:
+        # ARD scales each column's block by its own lengthscale
+        sq = np.subtract(X.T[:, :, None], X2.T[:, None, :], order="C")
         np.square(sq, out=sq)
-        return sq if self.ard else np.sum(sq, axis=0, keepdims=True)
+        return sq
 
     def _forward(self, base):
         # in place: each fresh n x n temporary costs about as much as the
@@ -331,9 +364,10 @@ class Periodic(_Leaf):
     """k(x, x') = variance * exp(-2 sum_k sin^2(pi (x_k - x'_k) / period) / lengthscale^2).
 
     The period is held fixed by default (daily and weekly periods are known a
-    priori), and the base is the sum of sin^2 terms; pass learn_period=True
-    to expose the period to the optimizer, and the base is the raw
-    differences.
+    priori), and the base is the sum of sin^2 terms, the squared distance of
+    the rows' cos/sin embeddings, which it keeps for the input adjoint; pass
+    learn_period=True to expose the period to the optimizer, and the base is
+    the raw differences.
     """
 
     def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False,
@@ -360,6 +394,12 @@ class Periodic(_Leaf):
         sin2 *= sin2
         return u, np.sum(sin2, axis=-1)
 
+    def _embedding(self, X):
+        """½ (cos a, sin a) with a = 2πX/period: the squared distance of two
+        rows' embeddings is the sum of sin^2(π (x_k - x'_k) / period)."""
+        a = (2.0 * np.pi / self.period) * X
+        return 0.5 * np.hstack([np.cos(a), np.sin(a)])
+
     def _from_sin2(self, s):
         K = -2.0 * s
         K /= self.lengthscale**2
@@ -368,14 +408,19 @@ class Periodic(_Leaf):
         return K
 
     def _column_base(self, X, X2, paired):
-        diff = X - X2 if paired else X[:, None, :] - X2[None, :, :]
-        return diff if self.learn_period else self._sin2(diff)[1]
+        if paired:    # the diagonal: every difference is zero
+            return np.zeros_like(X) if self.learn_period else (np.zeros(len(X)),)
+        if self.learn_period:
+            return X[:, None, :] - X2[None, :, :]
+        F = self._embedding(X)
+        F2 = F if X2 is X else self._embedding(X2)
+        return _sqdist(F, F2), F, F2
 
     def _forward(self, base):
         if self.learn_period:
             u, s = self._sin2(base)
             return self._from_sin2(s), (s, base, u)
-        return self._from_sin2(base), (base,)
+        return self._from_sin2(base[0]), base
 
     def _factors(self, aux):
         ell2 = self.lengthscale**2
@@ -390,8 +435,12 @@ class Periodic(_Leaf):
         coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
         if self.learn_period:
             return coeff * np.einsum("ij,ijc->ic", W, np.sin(2.0 * aux[2]))
-        a, b = (2.0 * np.pi / self.period) * X, (2.0 * np.pi / self.period) * X2
-        return coeff * (np.sin(a) * (W @ np.cos(b)) - np.cos(a) * (W @ np.sin(b)))
+        # sin(a - b) = sin a cos b - cos a sin b, with cos and sin from the
+        # embeddings, which hold half of each
+        _, F, F2 = aux
+        d = X.shape[1]
+        WF2 = W @ F2
+        return (4.0 * coeff) * (F[:, d:] * WF2[:, :d] - F[:, :d] * WF2[:, d:])
 
     def _get_params(self):
         params = [self.log_variance, self.log_lengthscale]

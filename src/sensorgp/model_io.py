@@ -6,8 +6,13 @@ input normalization statistics, the backend name, the training rows when
 the class sets `stores_rows`, and an optional fit block. Each backend
 writes and reads its own block through `to_doc` and `from_doc` (kernels,
 plus inducing locations and whitened variational parameters for SVGP).
-Loading rejects NaN and Infinity, and reconstructs a model that predicts
-identically without refitting and that can be saved again.
+Kernels are written in their config form, with hyperparameters in natural
+units; `log_params` also keeps the model's log-hyperparameters, log noise
+variance and mean as fitted, since the log of a written exp(θ) can land an
+ulp away from θ. Loading sets them when present (older files load from the
+natural units), rejects NaN and Infinity, and reconstructs a model that
+predicts bit for bit as the saved one without refitting and that can be
+saved again.
 """
 
 import json
@@ -16,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .data import Dataset
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SensorGPError
 from .exact_gp import GPModel
 from .statespace import StateSpaceGP
 from .svgp import SVGPModel
@@ -113,5 +118,9 @@ def load_model(path):
         raise FormatError(f"{path}: unknown backend {doc.get('backend')!r}")
     try:
         return LoadedModel(cls.from_doc(doc, _stored_dataset(doc, cls.stores_rows)))
+    except SensorGPError:
+        raise
     except KeyError as err:
         raise FormatError(f"{path}: missing key {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"{path}: malformed value ({err})") from None

@@ -244,6 +244,7 @@ class StateSpaceGP:
                 "variance": self.temporal.variance,
                 "lengthscale": self.temporal.lengthscale,
             },
+            "log_params": self.log_params().tolist(),
         }
 
     @classmethod
@@ -254,10 +255,13 @@ class StateSpaceGP:
             float(doc["temporal"]["variance"]),
             float(doc["temporal"]["lengthscale"]),
         )
-        return cls.from_dataset(
+        model = cls.from_dataset(
             from_config(doc["spatial_kernel"]), temporal, dataset,
             float(doc["noise_variance"]), float(doc["mean"]),
         )
+        if "log_params" in doc:
+            model.set_log_params(doc["log_params"])
+        return model
 
     # -- parameters ---------------------------------------------------------
 

@@ -126,6 +126,7 @@ class SVGPModel:
                 "whitened_mean": self._m_w.tolist(),
                 "cov_factor_packed": self._c_pack.tolist(),
             },
+            "log_params": self.log_params()[: self.kernel.n_params + 2].tolist(),
         }
 
     @classmethod
@@ -138,6 +139,8 @@ class SVGPModel:
         )
         model._m_w = np.array(doc["variational"]["whitened_mean"], dtype=float)
         model._c_pack = np.array(doc["variational"]["cov_factor_packed"], dtype=float)
+        if "log_params" in doc:
+            model.set_log_params(np.concatenate([doc["log_params"], model._m_w, model._c_pack]))
         return model
 
     # -- parameter vector ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Run the fixed end-to-end config through `sensorgp.cli.main` into one directory.
 
     PYTHONPATH=src python tests/fixed_config.py OUT_DIR
+    python tests/fixed_config.py --compare OLD_DIR NEW_DIR
 
 It generates a `synth` network (5 sites x 3 days, seed 11) plus a 96-hour
 weather CSV, runs `benchmark --protocol both` over exact, exact
@@ -9,17 +10,19 @@ periodic+cleaned+inputs, SVGP and state-space rows, then `fit` and
 with no timing fields (`fold_seconds` is dropped from `reports.json`) and
 no absolute paths, so two checkouts can be compared with `diff -r`.
 The whole run takes a few minutes on one core.
+
+`--compare` names each file that differs between two such directories
+and, where only numbers differ, the largest relative difference between
+them, so a change that moves last digits can quote the size of the move.
+It exits 1 if anything differs, as `diff -r` does.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from sensorgp import cli
 
 WEATHER_HEADER = "timestamp,windspeed,winddir,windgust,humidity,temp,precip"
 
@@ -52,6 +55,8 @@ QUERIES = (
 
 
 def write_weather(path, hours=96):
+    import numpy as np    # here and in run: --compare needs only the stdlib
+
     rng = np.random.default_rng(5)
     lines = [WEATHER_HEADER]
     for h in range(hours):
@@ -65,6 +70,8 @@ def write_weather(path, hours=96):
 
 
 def run(argv, log):
+    from sensorgp import cli
+
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
@@ -122,7 +129,48 @@ def _config(out, name, doc):
     return path
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_moves(old_text, new_text):
+    """How two texts that differ only in their numbers differ, or None when
+    they differ elsewhere too."""
+    if NUMBER.sub("#", old_text) != NUMBER.sub("#", new_text):
+        return None
+    pairs = [(a, b) for a, b in zip(NUMBER.findall(old_text), NUMBER.findall(new_text))
+             if float(a) != float(b)]
+    if not pairs:
+        return "numbers differ only in how they are written"
+    worst = max(pairs, key=lambda p: abs(float(p[0]) - float(p[1]))
+                / max(abs(float(p[0])), abs(float(p[1]))))
+    a, b = float(worst[0]), float(worst[1])
+    relative = abs(a - b) / max(abs(a), abs(b))
+    return (f"{len(pairs)} numbers differ, largest relative difference {relative:.3g} "
+            f"({worst[0]} -> {worst[1]})")
+
+
+def compare(old, new):
+    """Print one line per file that differs between two output trees; True if any does."""
+    old, new = Path(old), Path(new)
+    names = sorted({p.relative_to(root) for root in (old, new)
+                    for p in root.rglob("*") if p.is_file()})
+    differ = False
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {a.parent if a.is_file() else b.parent}")
+        elif a.read_bytes() != b.read_bytes():
+            moves = number_moves(a.read_text(), b.read_text())
+            print(f"{name}: {moves or 'differs beyond its numbers'}")
+        else:
+            continue
+        differ = True
+    return differ
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(int(compare(sys.argv[2], sys.argv[3])))
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     main(sys.argv[1])

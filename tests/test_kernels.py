@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensorgp import kernels
 from sensorgp.errors import InputError
-from helpers import central_diff, dense_grad_x, max_rel_err
+from helpers import central_diff, dense_grad_x, difference_base, max_rel_err
 
 
 def point(k, a, b):
@@ -191,6 +193,38 @@ def test_property_bounded_and_symmetric(x, y):
     assert v == point(k, b, a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 10),
+    scale=st.floats(0.1, 30.0),
+    period=st.floats(0.03, 10.0),
+    sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_product_bases_match_differences(width, scale, period, sizes, seed):
+    # the SE and fixed-period bases are squared distances of embeddings from
+    # one matrix product; the direct difference route bounds their rounding
+    rng = np.random.default_rng(seed)
+    X, X2 = (scale * rng.normal(size=(n, width)) for n in sizes)
+    se, periodic = kernels.SquaredExponential(), kernels.Periodic(period=period)
+    for A, B in ((X, X2), (X, X)):
+        norms = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :]
+        error = np.abs(se.prepare(A, B).base[0] - difference_base(se, A, B))
+        assert np.all(error <= 1e-14 * (1.0 + norms))
+        reach = np.max(np.abs(A), axis=1)[:, None] + np.max(np.abs(B), axis=1)[None, :]
+        error = np.abs(periodic.prepare(A, B).base[0] - difference_base(periodic, A, B))
+        assert np.all(error <= 1e-13 * (1.0 + reach / period))
+    # a self-Gram, also through leaves that pick their columns, is exactly
+    # symmetric and its diagonal is the diagonal's own route
+    tree = kernels.SquaredExponential(1.3, 0.9, dims=list(range(0, width, 2))) + (
+        kernels.SquaredExponential(0.7, 1.6) * kernels.Periodic(1.1, 0.8, period, dims=[width - 1])
+    )
+    for k in (se, periodic, tree):
+        K = k.gram(X)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(np.diag(K), k.diag(X))
+
+
 # ---------------------------------------------------------------------------
 # hyperparameter gradients
 
@@ -358,13 +392,17 @@ def test_reverse_pass_matches_dense_tangents(kernel, seed, diagonal):
 @settings(max_examples=60, deadline=None)
 @given(kernel=kernel_trees, seed=st.integers(0, 2**32 - 1))
 def test_config_roundtrip_keeps_every_tree(kernel, seed):
-    # the file stores exp(θ) in decimal, so a reloaded log-parameter can sit
-    # an ulp away; the tree itself (shape, columns, options) must be the same,
-    # so with the parameters copied over the Gram matches bit for bit
-    rebuilt = kernels.from_config(kernels.to_config(kernel))
+    # a model file holds the tree with exp(θ) in decimal, whose log can land
+    # an ulp away, and θ itself; read back through JSON, the two give the
+    # same tree (shape, columns, options) and the same Gram bit for bit
+    doc = json.loads(json.dumps(
+        {"kernel": kernels.to_config(kernel), "log_params": kernel.log_params().tolist()}
+    ))
+    rebuilt = kernels.from_config(doc["kernel"])
     assert rebuilt.param_names() == kernel.param_names()
     np.testing.assert_allclose(rebuilt.log_params(), kernel.log_params(), rtol=1e-15, atol=1e-15)
-    rebuilt.set_log_params(kernel.log_params())
+    rebuilt.set_log_params(doc["log_params"])
+    assert np.array_equal(rebuilt.log_params(), kernel.log_params())
     X = np.random.default_rng(seed).normal(size=(6, WIDTH))
     assert np.array_equal(rebuilt.gram(X), kernel.gram(X))
     assert kernels.to_config(rebuilt) == kernels.to_config(kernel)

@@ -100,6 +100,42 @@ def test_loaded_model_saves_the_same_file(tmp_path, corpus, backend):
         np.testing.assert_array_equal(a, b)
 
 
+def drifting_logs(size):
+    """Log-values that exp then log does not give back: a file that held only
+    exp(θ) in decimal would reload each of them an ulp away."""
+    draws = np.random.default_rng(0).uniform(-1.0, 1.0, 20_000)
+    drifting = draws[np.log(np.exp(draws)) != draws]
+    assert drifting.size >= size
+    return drifting[:size]
+
+
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_loaded_model_predicts_bit_for_bit(tmp_path, corpus, backend):
+    readings, ds = corpus
+    model = build(backend, ds)
+    path = tmp_path / "model.json"
+    model_io.save_model(path, model)
+    # every stored log-value but the mean, which is not a logarithm
+    n = len(json.loads(path.read_text())["log_params"]) - 1
+    theta = model.log_params()
+    theta[:n] = drifting_logs(n)
+    model.set_log_params(theta)
+    model_io.save_model(path, model)
+    loaded = model_io.load_model(path).model
+    np.testing.assert_array_equal(loaded.log_params(), model.log_params())
+    Xq = ds.encode_inputs(readings.take(np.arange(10)))
+    direct, served = model.predict(Xq), loaded.predict(Xq)
+    for field in ("mean", "latent_variance", "observed_variance"):
+        np.testing.assert_array_equal(getattr(served, field), getattr(direct, field))
+    # a file without the exact values still loads, from the decimal ones
+    blob = json.loads(path.read_text())
+    del blob["log_params"]
+    path.write_text(json.dumps(blob))
+    older = model_io.load_model(path).model
+    assert not np.array_equal(older.log_params(), model.log_params())
+    np.testing.assert_allclose(older.log_params(), model.log_params(), rtol=1e-15, atol=1e-15)
+
+
 @pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
 def test_training_rows_only_where_the_class_stores_them(tmp_path, corpus, backend):
     _, ds = corpus
@@ -128,6 +164,19 @@ def test_non_finite_model_file_values_rejected(tmp_path, corpus, backend, key, v
     path.write_text(json.dumps(blob))
     literal = json.dumps(value)
     with pytest.raises(FormatError, match=re.escape(f"{path}: {literal} is not a finite")):
+        model_io.load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [("log_params", ["a", 0.0]), ("noise_variance", "abc")])
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_malformed_model_file_values_rejected(tmp_path, corpus, backend, key, value):
+    _, ds = corpus
+    path = tmp_path / "model.json"
+    model_io.save_model(path, build(backend, ds))
+    blob = json.loads(path.read_text())
+    blob[key] = value
+    path.write_text(json.dumps(blob))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: malformed value")):
         model_io.load_model(path)
 
 
