@@ -9,6 +9,12 @@ The gradient ½ tr((ααᵀ − K⁻¹) dK/dθ) (Rasmussen & Williams 2006, §5.
 is one reverse kernel pass on K̄ = ½(ααᵀ − K⁻¹), with K⁻¹ from the factor
 by LAPACK dpotri and the training inputs' kernel terms prepared once per
 fit, so a step forms no derivative matrix per parameter.
+
+A fit keeps one workspace: the prepared inputs, whose passes write into
+their own arrays, the noisy matrix, which LAPACK dpotrf factors in place,
+and K̄, which dpotri inverts in place from a copy of the factor. A warm
+step therefore allocates no n × n array. When the fit ends the model
+keeps the factor alone.
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,9 @@ from scipy.linalg.blas import dsyr
 
 from .errors import InputError
 from .kernels import _as_matrix, from_config, to_config
-from .linalg import chol_inverse_lower, chol_solve, chol_with_jitter, tri_solve
+from .linalg import (
+    chol_inverse_lower, chol_solve, chol_with_jitter, single_threaded_blas, tri_solve,
+)
 from .optim import FitResult, OptimizerOptions, maximize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -70,7 +78,7 @@ class GPModel:
         self.mean = float(np.mean(self.y)) if mean is None else float(mean)
         self.dataset = None
         self._cache = None
-        self._train_inputs = None
+        self._workspace = None    # during a fit: prepared inputs, noisy matrix, K̄
 
     @classmethod
     def from_dataset(cls, kernel, dataset, noise_variance=0.1, mean=None):
@@ -136,13 +144,14 @@ class GPModel:
 
         K, when given, is the Gram matrix at these parameters, so a caller
         that already evaluated it does not pay for a second kernel pass.
+        Inside a fit the factor is built in the workspace's noisy-matrix
+        array, which the next factor overwrites.
         """
         if self._cache is None:
             if K is None:
                 K = self.kernel.gram(self.X)
-            A = K.copy()
-            A.flat[:: A.shape[0] + 1] += self.noise_variance
-            L, jitter = chol_with_jitter(A)
+            out = None if self._workspace is None else self._workspace[1]
+            L, jitter = chol_with_jitter(K, self.noise_variance, out=out)
             residual = self.y - self.mean
             alpha = chol_solve(L, residual)
             self._cache = (L, alpha, residual, jitter)
@@ -158,12 +167,13 @@ class GPModel:
     def grad_log_marginal_likelihood(self):
         """Gradient over [kernel log-params, log noise variance, mean]: one
         reverse kernel pass on K̄ = ½(ααᵀ − K⁻¹), K⁻¹ from the cached factor."""
-        if self._train_inputs is None:
-            # X is fixed: its kernel terms serve every step of a fit
-            self._train_inputs = self.kernel.prepare(self.X)
-        K, vjp = self._train_inputs.gram_and_vjp()
+        if self._workspace is None:    # outside a fit: nothing is kept
+            inputs, out = self.kernel.prepare(self.X), None
+        else:
+            inputs, _, out = self._workspace
+        K, vjp = inputs.gram_and_vjp()
         L, alpha, _, _ = self._factor(K)
-        Kbar = _folded_adjoint(L, alpha)
+        Kbar = _folded_adjoint(L, alpha, out)
         return np.concatenate(
             [vjp(Kbar), [self.noise_variance * np.trace(Kbar), np.sum(alpha)]]
         )
@@ -178,14 +188,27 @@ class GPModel:
             grad = self.grad_log_marginal_likelihood()
             return self.log_marginal_likelihood(), grad
 
-        best, value, iters, converged, trace = maximize(
-            value_and_grad, self.log_params(), opts
-        )
-        self._train_inputs = None    # a fitted model keeps its factor, not the terms
+        def value_only(theta):
+            # the same forward pass and factor as value_and_grad, no reverse pass
+            self.set_log_params(theta)
+            self._factor(self._workspace[0].gram_and_vjp()[0])
+            return self.log_marginal_likelihood()
+
+        # X is fixed: its kernel terms and the step's arrays serve every step
+        n = self.y.size
+        self._workspace = (self.kernel.prepare(self.X), np.empty((n, n)), np.empty((n, n)))
+        try:
+            best, value, iters, converged, trace = maximize(
+                value_and_grad, self.log_params(), opts, value=value_only
+            )
+        finally:
+            # a fitted model keeps its factor, not the workspace
+            self._workspace = None
         self.set_log_params(best)
         params = dict(zip(self.param_names(), best.tolist()))
         return FitResult(params, value, iters, converged, trace)
 
+    @single_threaded_blas()
     def predict(self, Xq):
         Xq = query_matrix(Xq, self.X.shape[1])
         L, alpha, _, _ = self._factor()
@@ -196,15 +219,15 @@ class GPModel:
         return PosteriorPrediction(mean, latent, latent + self.noise_variance)
 
 
-def _folded_adjoint(L, alpha):
+def _folded_adjoint(L, alpha, out=None):
     """K̄ = ½(ααᵀ − K⁻¹) folded onto its lower triangle: entries below the
-    diagonal doubled, zeros above.
+    diagonal doubled, zeros above; in `out` when given.
 
     The gradient only reduces K̄ against symmetric matrices (the training
     Gram and its derivatives), where the fold gives the same sums, and it
     spares mirroring the inverse that dpotri leaves in one triangle.
     """
-    Kbar = chol_inverse_lower(L)
+    Kbar = chol_inverse_lower(L, out=out)
     np.negative(Kbar, out=Kbar)
     # the Fortran-order view's upper triangle is this lower one: += ααᵀ there
     Kbar = dsyr(1.0, alpha, lower=0, a=Kbar.T, overwrite_a=1).T

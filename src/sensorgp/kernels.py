@@ -17,19 +17,32 @@ leaf f = ½(cos 2πx/p, sin 2πx/p), whose squared distance is the summed
 ``sin^2(π(x - x')/p)`` (MacKay 1998). Under ARD an SE keeps one squared
 difference block per column, and a learned period the raw differences,
 because their gradients need them. A self-Gram's base is exactly
-symmetric with a zero diagonal, and a diagonal's base is zeros. A forward
-pass then costs one ``exp`` per leaf. Each leaf writes its derivatives
-once, as ``dK/dθ_p = K ∘ c_p M_p``: the reverse pass maps an adjoint K̄
-to ``Σ K̄ ∘ dK/dθ_p`` for every parameter without forming those matrices
-(``Sum`` passes K̄ down, ``Product`` passes K̄ times the other factors, a
-leaf reduces ``c_p ⟨K̄ ∘ K, M_p⟩``), and ``gram_and_grads`` multiplies
-the same terms out into dense tangents. The same walk gives
-X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding its columns
-from ``W = K̄ ∘ K`` by ``(n, m)`` matrix products, with no ``(n, m, d)``
-array. A diagonal is the same tree over paired rows.
+symmetric with a zero diagonal, and a diagonal's base is zeros.
+
+Every leaf is ``v·exp(Σ a·B)`` over its base terms B, and its derivatives
+are ``dK/dθ_p = K ∘ c_p M_p``. A product of leaves is one such term,
+``(Π v)·exp(Σ a·B)`` over all its children's terms, so a forward pass
+costs one ``exp`` per leaf outside products and one per product of leaves.
+The reverse pass maps an adjoint K̄ to ``Σ K̄ ∘ dK/dθ_p`` for every
+parameter without forming those matrices: ``Sum`` passes K̄ down, a leaf or
+product of leaves forms ``W = K̄ ∘ K`` once and reduces ``c_p ΣW`` for a
+variance and ``c_p ⟨W, M_p⟩`` otherwise, and a product with a ``Sum`` among
+its children passes K̄ times the other factors (Rasmussen & Williams 2006,
+§4.2.4). ``gram_and_grads`` multiplies the same terms out into dense
+tangents. The same walk gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input,
+each leaf adding its columns from W by ``(n, m)`` matrix products, with no
+``(n, m, d)`` array. A diagonal is the same tree over paired rows.
+
+A ``PreparedInputs`` is also its passes' workspace: each node keeps its
+output array across ``gram_and_vjp()`` calls, so a warm pass allocates no
+array of K's size, and each call overwrites the previous call's K and
+tape. ``gram`` runs the same arithmetic without a tape, building each
+leaf's base only when it is needed and dropping it after, so its results
+equal a prepared pass's bit for bit.
 """
 
 import copy
+import math
 
 import numpy as np
 
@@ -90,22 +103,30 @@ def _times(a, b):
     return a * b
 
 
+_BLOCK = 1 << 15    # elements of the norm-sum block _sqdist forms at a time
+
+
 def _sqdist(F, F2):
     """Squared distances between the rows of F and F2, (‖f‖² + ‖f′‖²) − 2 F F2ᵀ,
     clamped at 0: one matrix product and no (d, n, m) array. The norm sum
     comes first, so k(a, b) == k(b, a) bit for bit for single rows (larger
     blocks agree to rounding: BLAS may order a product's terms by shape).
-    For F2 is F the product is numpy's symmetric rank-k update, so the
-    result is exactly symmetric, and its diagonal is set to exactly 0."""
+    It is formed a block of rows at a time and subtracted from the product
+    in place, so the result is the only (n, m) array. For F2 is F the
+    product is numpy's symmetric rank-k update, so the result is exactly
+    symmetric, and its diagonal is set to exactly 0."""
     norms = np.einsum("ij,ij->i", F, F)
     if F2 is F:
-        sq = np.add.outer(norms, norms)
-        product = F @ F.T
-        product *= 2.0
+        norms2 = norms
+        sq = F @ F.T
+        sq *= 2.0
     else:
-        sq = np.add.outer(norms, np.einsum("ij,ij->i", F2, F2))
-        product = F @ (2.0 * F2).T    # the same bits as 2 (F F2ᵀ), one pass fewer
-    sq -= product
+        norms2 = np.einsum("ij,ij->i", F2, F2)
+        sq = F @ (2.0 * F2).T    # the same bits as 2 (F F2ᵀ), one pass fewer
+    step = max(1, _BLOCK // max(1, len(norms2)))
+    for start in range(0, len(norms), step):
+        rows = sq[start:start + step]
+        np.subtract(np.add.outer(norms[start:start + step], norms2), rows, out=rows)
     np.maximum(sq, 0.0, out=sq)
     if F2 is F:
         np.fill_diagonal(sq, 0.0)
@@ -119,45 +140,127 @@ def _inner(*arrays):
 
 
 class PreparedInputs:
-    """A kernel tree bound to one input pair, with every leaf's base computed.
+    """A kernel tree bound to one input pair, with every leaf's base computed
+    and the workspace its passes write into.
 
     The bases do not depend on the hyperparameters, so one instance serves
     every value the kernel's parameters take; each call reads the current
     ones. The two input matrices are kept for the input adjoint.
+
+    Workspace contract: every node keeps its output array from one
+    ``gram_and_vjp()`` call to the next, and one scratch array of K's shape
+    holds the later exponent terms of a forward pass and W = K̄ ∘ K in a
+    reverse pass. So the next call on the same instance overwrites the
+    previous call's K and tape, and the previous vjp is void; copy K to keep
+    it. Warm passes over sums and products of leaves then allocate no array
+    of K's size (a learned period's sin² terms and the factors of a product
+    over a sum are still computed fresh).
     """
 
     def __init__(self, kernel, X, X2, paired):
         self.kernel = kernel
         self.X, self.X2, self.paired = X, X2, paired
         self.base = kernel._base(X, X2, paired)
+        self._tape = None
+        self._scratch = np.empty(len(X) if paired else (len(X), len(X2)))
 
     def gram_and_vjp(self):
         """Gram matrix K and ``vjp(Kbar, inputs=False)``, mapping an adjoint K̄
         to θ̄ = ∂ sum(K̄ ∘ K)/∂θ over the log-hyperparameters, or with
         inputs=True to ``(θ̄, X̄)``, X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input,
         both from one walk over the tape. K must not be modified before."""
-        tape = self.kernel._forward(self.base)
+        tape = self._tape = self.kernel._forward(self.base, self._tape, self._scratch)
 
         def vjp(Kbar, inputs=False):
             if inputs and self.paired:
                 raise InputError("a diagonal has no input adjoint")
             Xbar = np.zeros_like(self.X) if inputs else None
             xs = (self.X, self.X2, Xbar) if inputs else None
-            grad = np.array(self.kernel._reverse(tape, Kbar, xs), dtype=float)
+            grad = np.array(self.kernel._reverse(tape, Kbar, xs, self._scratch), dtype=float)
             return (grad, Xbar) if inputs else grad
 
         return tape[0], vjp
 
 
+def _exponential(pairs, out=None, scratch=None):
+    """(Π v)·exp(Σ a·B) for (leaf, aux) pairs: every leaf's exponent terms
+    summed in order into `out`, each after the first through `scratch`
+    (fresh arrays where None), then one exp and the variances."""
+    K = None
+    for leaf, aux in pairs:
+        for a, B in leaf._exponent(aux):
+            if K is None:
+                K = np.multiply(B, a, out=out)
+            else:
+                K += np.multiply(B, a, out=scratch)
+    np.exp(K, out=K)
+    K *= math.prod(leaf.variance for leaf, _ in pairs)
+    return K
+
+
+def _exponential_gram(leaves, X, X2, paired):
+    """_exponential without a tape, leaf by leaf: each leaf's base is built,
+    scaled in place into the sum and dropped, aux and all, before the next
+    leaf's is built. The same operations in the same order as a prepared
+    forward pass, so the same bits."""
+    K = None
+    for leaf in leaves:
+        aux = leaf._aux(leaf._base(X, X2, paired))
+        for a, B in leaf._exponent(aux):
+            if K is None:
+                K = B * a
+            else:
+                K += np.multiply(B, a, out=B)    # the walk owns the base
+        del aux, B
+    np.exp(K, out=K)
+    K *= math.prod(leaf.variance for leaf in leaves)
+    return K
+
+
+def _exponential_reverse(pairs, K, Kbar, inputs, scratch):
+    """θ̄ for the parameters of K = (Π v)·exp(Σ a·B): every dK/dθ_p is
+    K ∘ c_p M_p, so W = K̄ ∘ K is formed once and each leaf's factors reduce
+    against it (c·ΣW for a variance, c·⟨W, M⟩ otherwise); given
+    ``inputs = (X, X2, Xbar)``, each leaf also adds its X̄ from W."""
+    W = np.multiply(Kbar, K, out=scratch)
+    total = None
+    grads = []
+    X, X2, Xbar = inputs or (None, None, None)
+    for leaf, aux in pairs:
+        if inputs is not None:
+            columns = slice(None) if leaf.dims is None else leaf.dims
+            Xbar[:, columns] += leaf._input_adjoint(
+                W, aux, leaf._columns(X), leaf._columns(X2)
+            )
+        for c, M in leaf._factors(aux):
+            if M is None:
+                total = W.sum() if total is None else total
+                grads.append(c * total)
+            else:
+                grads.append(c * _inner(W, M))
+    return grads
+
+
+def _exponential_tangents(pairs, K):
+    """The dense dK/dθ_p = K ∘ c_p M_p of the same term, one per parameter."""
+    return [
+        K * c if M is None else K * M * c
+        for leaf, aux in pairs
+        for c, M in leaf._factors(aux)
+    ]
+
+
 class Kernel:
     """Base class for kernel expression trees.
 
-    A node implements ``_base(X, X2, paired)``, ``_forward(base) -> (K, aux)``
-    (the pair is its tape), ``_reverse(tape, Kbar, inputs=None)`` and
+    A node implements ``_base(X, X2, paired)``, ``_forward(base, prev=None,
+    scratch=None) -> (K, aux)`` (the pair is its tape; ``prev``, the node's
+    tape from the last pass over the same base, lends its output array),
+    ``_reverse(tape, Kbar, inputs=None, scratch=None)`` and
     ``_tangents(tape)``, which return one entry per parameter (given
     ``inputs = (X, X2, Xbar)``, ``_reverse`` also adds the leaves' X̄ into
-    Xbar). Interior nodes also implement ``_value``, the tape-free forward
-    pass behind ``gram``. Leaves pick their input columns with ``dims``:
+    Xbar), and ``_value``, the tape-free forward pass behind ``gram``.
+    Leaves pick their input columns with ``dims``:
     ``SquaredExponential(dims=[0, 1]) + Periodic(period=24.0, dims=[2])``.
     """
 
@@ -196,8 +299,6 @@ class Kernel:
         return self.prepare(X, X2).gram_and_vjp()[1](Kbar, inputs=True)[1]
 
     def _value(self, X, X2, paired):
-        # the same arithmetic as a prepared forward pass, but interior nodes
-        # free each child's terms once it is evaluated instead of keeping a tape
         return self._forward(self._base(X, X2, paired))[0]
 
     def _value_and_tangents(self, base):
@@ -237,11 +338,14 @@ class Kernel:
 
 
 class _Leaf(Kernel):
-    """A leaf whose derivatives are dK/dθ_p = K ∘ c_p M_p.
+    """A leaf v·exp(Σ a·B), whose derivatives are dK/dθ_p = K ∘ c_p M_p.
 
-    `_factors(aux)` yields one (c_p, M_p) per parameter, M_p None standing
-    for all ones; the reverse pass and the dense tangents both read it.
-    `_column_base` and `_input_adjoint` (X̄ from W = K̄ ∘ K) see only `dims`.
+    `_aux(base)` gives the terms at the current parameters (the base itself
+    unless a learned period needs its sin² terms); `_exponent(aux)` yields
+    the (a, B) terms of the exponent, and `_factors(aux)` one (c_p, M_p) per
+    parameter, M_p None standing for all ones; the passes share them with a
+    product of leaves, which is one such term. `_column_base` and
+    `_input_adjoint` (X̄ from W = K̄ ∘ K) see only `dims`.
     """
 
     @property
@@ -269,22 +373,23 @@ class _Leaf(Kernel):
     def _dims_repr(self):
         return "" if self.dims is None else f", dims={self.dims}"
 
-    def _reverse(self, tape, Kbar, inputs=None):
+    def _aux(self, base):
+        return base
+
+    def _value(self, X, X2, paired):
+        return _exponential_gram([self], X, X2, paired)
+
+    def _forward(self, base, prev=None, scratch=None):
+        aux = self._aux(base)
+        return _exponential([(self, aux)], None if prev is None else prev[0], scratch), aux
+
+    def _reverse(self, tape, Kbar, inputs=None, scratch=None):
         K, aux = tape
-        if inputs is not None:
-            X, X2, Xbar = inputs
-            columns = slice(None) if self.dims is None else self.dims
-            Xbar[:, columns] += self._input_adjoint(
-                Kbar * K, aux, self._columns(X), self._columns(X2)
-            )
-        return [
-            c * (_inner(Kbar, K) if M is None else _inner(Kbar, K, M))
-            for c, M in self._factors(aux)
-        ]
+        return _exponential_reverse([(self, aux)], K, Kbar, inputs, scratch)
 
     def _tangents(self, tape):
         K, aux = tape
-        return [K * c if M is None else K * M * c for c, M in self._factors(aux)]
+        return _exponential_tangents([(self, aux)], K)
 
 
 class SquaredExponential(_Leaf):
@@ -320,16 +425,8 @@ class SquaredExponential(_Leaf):
         np.square(sq, out=sq)
         return sq
 
-    def _forward(self, base):
-        # in place: each fresh n x n temporary costs about as much as the
-        # arithmetic on it
-        scales = -0.5 / np.atleast_1d(self.lengthscale) ** 2
-        K = base[0] * scales[0]
-        for block, scale in zip(base[1:], scales[1:]):
-            K += block * scale
-        np.exp(K, out=K)
-        K *= self.variance
-        return K, base
+    def _exponent(self, base):
+        return zip(-0.5 / np.atleast_1d(self.lengthscale) ** 2, base)
 
     def _factors(self, base):
         yield 1.0, None
@@ -400,13 +497,6 @@ class Periodic(_Leaf):
         a = (2.0 * np.pi / self.period) * X
         return 0.5 * np.hstack([np.cos(a), np.sin(a)])
 
-    def _from_sin2(self, s):
-        K = -2.0 * s
-        K /= self.lengthscale**2
-        np.exp(K, out=K)
-        K *= self.variance
-        return K
-
     def _column_base(self, X, X2, paired):
         if paired:    # the diagonal: every difference is zero
             return np.zeros_like(X) if self.learn_period else (np.zeros(len(X)),)
@@ -416,11 +506,14 @@ class Periodic(_Leaf):
         F2 = F if X2 is X else self._embedding(X2)
         return _sqdist(F, F2), F, F2
 
-    def _forward(self, base):
+    def _aux(self, base):
         if self.learn_period:
             u, s = self._sin2(base)
-            return self._from_sin2(s), (s, base, u)
-        return self._from_sin2(base[0]), base
+            return s, base, u
+        return base
+
+    def _exponent(self, aux):
+        yield -2.0 / self.lengthscale**2, aux[0]
 
     def _factors(self, aux):
         ell2 = self.lengthscale**2
@@ -488,25 +581,31 @@ class _Combination(Kernel):
         return [child._base(X, X2, paired) for child in self.children]
 
     def _value(self, X, X2, paired):
+        # each child's terms are freed once it is evaluated; no tape is kept
         K = self.children[0]._value(X, X2, paired)
         for child in self.children[1:]:
-            K = self._op(K, child._value(X, X2, paired))
+            self._op(K, child._value(X, X2, paired), out=K)
         return K
 
-    def _forward(self, base):
-        tapes = [child._forward(b) for child, b in zip(self.children, base)]
+    def _forward(self, base, prev=None, scratch=None):
+        prevs = [None] * len(self.children) if prev is None else prev[1]
+        tapes = [
+            child._forward(b, p, scratch)
+            for child, b, p in zip(self.children, base, prevs)
+        ]
         K = tapes[0][0]
+        out = None if prev is None or len(tapes) == 1 else prev[0]
         for tape in tapes[1:]:
-            K = self._op(K, tape[0])
+            K = out = self._op(K, tape[0], out=out)
         return K, tapes
 
-    def _reverse(self, tape, Kbar, inputs=None):
+    def _reverse(self, tape, Kbar, inputs=None, scratch=None):
         tapes = tape[1]
         weights = self._weights([t[0] for t in tapes])
         return [
             g
             for child, t, w in zip(self.children, tapes, weights)
-            for g in child._reverse(t, _times(Kbar, w), inputs)
+            for g in child._reverse(t, _times(Kbar, w), inputs, scratch)
         ]
 
     def _tangents(self, tape):
@@ -552,10 +651,44 @@ class Sum(_Combination):
 
 
 class Product(_Combination):
-    """Elementwise product of child kernels."""
+    """Elementwise product of child kernels.
+
+    A product of leaves alone is one leaf-like term, (Π v)·exp(Σ a·B) over
+    its children's exponent terms (Rasmussen & Williams 2006, §4.2.4), so
+    its passes take one exp and reduce every factor against one W = K̄ ∘ K.
+    A product with a Sum among its children multiplies the children out.
+    """
 
     _tag = "prod"
     _op = staticmethod(np.multiply)
+
+    @property
+    def _fused(self):
+        return all(isinstance(child, _Leaf) for child in self.children)
+
+    def _value(self, X, X2, paired):
+        if self._fused:
+            return _exponential_gram(self.children, X, X2, paired)
+        return super()._value(X, X2, paired)
+
+    def _forward(self, base, prev=None, scratch=None):
+        if not self._fused:
+            return super()._forward(base, prev, scratch)
+        auxes = [child._aux(b) for child, b in zip(self.children, base)]
+        out = None if prev is None else prev[0]
+        return _exponential(list(zip(self.children, auxes)), out, scratch), auxes
+
+    def _reverse(self, tape, Kbar, inputs=None, scratch=None):
+        if not self._fused:
+            return super()._reverse(tape, Kbar, inputs, scratch)
+        K, auxes = tape
+        return _exponential_reverse(list(zip(self.children, auxes)), K, Kbar, inputs, scratch)
+
+    def _tangents(self, tape):
+        if not self._fused:
+            return super()._tangents(tape)
+        K, auxes = tape
+        return _exponential_tangents(list(zip(self.children, auxes)), K)
 
     def _weights(self, Ks):
         # the product of the other factors, from prefix and suffix products

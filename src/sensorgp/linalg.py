@@ -1,15 +1,21 @@
 """Shared dense linear-algebra helpers: jittered Cholesky, the inverse from its
 factor and its reverse-mode rule, plus a scoped single-thread pin for the
-OpenBLAS libraries numpy and scipy load."""
+OpenBLAS libraries numpy and scipy load.
+
+Every factor and inverse here is one call into scipy's LAPACK, run in place
+on a C-order array read as its Fortran-order transpose, so a caller that
+passes its own buffers allocates nothing per call.
+"""
 
 import ctypes
 import os
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotri, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtrs
 
 from .errors import NumericalError
 
@@ -17,35 +23,53 @@ from .errors import NumericalError
 _JITTER_FACTORS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def chol_with_jitter(A):
-    """Lower Cholesky factor of a symmetric PSD matrix, inflating the diagonal on failure.
+def _potrf(out):
+    """Factor the C-order symmetric `out` in place: LAPACK dpotrf on its
+    Fortran-order transpose leaves L in the lower triangle, zeros above.
+    Returns False if the matrix is not positive definite."""
+    _, info = dpotrf(out.T, lower=0, clean=1, overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"Cholesky factorization failed (dpotrf info {info})")
+    return info == 0
 
-    Returns (L, jitter) where jitter is the diagonal inflation actually applied
-    (0.0 when the factorization succeeded untouched). Raises NumericalError with
-    the attempted jitter levels once the escalation ladder is exhausted.
+
+def chol_with_jitter(A, diagonal=0.0, out=None):
+    """Lower Cholesky factor of the symmetric PSD matrix A + diagonal·I,
+    inflating the diagonal on failure.
+
+    The factor is built in `out` (a C-order float array of A's shape, or a
+    fresh one), refilled from A before each jitter level, so A itself is
+    never written. Returns (L, jitter) where jitter is the diagonal
+    inflation actually applied on top of `diagonal` (0.0 when the
+    factorization succeeded untouched). Raises NumericalError with the
+    attempted jitter levels once the escalation ladder is exhausted.
     """
     A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
+    # a finite sum means finite entries; only an overflowing sum needs the
+    # elementwise check, whose boolean array a large A should not pay for
+    if not np.isfinite(A.sum()) and not np.isfinite(A).all():
         raise NumericalError(
             "Cholesky factorization failed: matrix has non-finite entries",
             jitter_levels=[],
         )
-    try:
-        return np.linalg.cholesky(A), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    base = float(np.mean(np.diag(A))) if A.shape[0] else 1.0
-    if not np.isfinite(base) or base <= 0.0:
-        base = 1.0
-    tried = [0.0]
-    eye = np.eye(A.shape[0])
-    for factor in _JITTER_FACTORS:
-        jitter = factor * base
+    L = np.empty(A.shape) if out is None else out
+    diag = L.reshape(-1)[:: A.shape[0] + 1]
+    tried, base = [], None
+    for factor in (0.0,) + _JITTER_FACTORS:
+        np.copyto(L, A)
+        if diagonal:
+            diag += diagonal
+        jitter = 0.0
+        if factor:
+            if base is None:     # the first failure: scale the ladder
+                base = float(np.mean(diag)) if A.shape[0] else 1.0
+                if not np.isfinite(base) or base <= 0.0:
+                    base = 1.0
+            jitter = factor * base
+            diag += jitter
         tried.append(jitter)
-        try:
-            return np.linalg.cholesky(A + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            continue
+        if _potrf(L):
+            return L, jitter
     raise NumericalError(
         "Cholesky factorization failed after jitter escalation "
         f"(levels tried: {tried})",
@@ -74,17 +98,20 @@ def chol_solve(L, B):
     return tri_solve(L, tri_solve(L, B), trans=True)
 
 
-def chol_inverse_lower(L):
+def chol_inverse_lower(L, out=None):
     """Lower triangle of (L L^T)^-1, zeros above, given the lower factor L with
     zeros above its diagonal (as chol_with_jitter returns it).
 
-    LAPACK dpotri runs on the factor's transpose, which is L's memory read in
-    Fortran order, so no transposed copy is made.
+    LAPACK dpotri inverts a copy of L in place, in `out` (a C-order array of
+    L's shape, or a fresh one): read in Fortran order, that memory is the
+    factor's transpose, so no transposed copy is made.
     """
-    inv, info = dpotri(L.T, lower=0)
+    out = np.empty(L.shape) if out is None else out
+    np.copyto(out, L)
+    _, info = dpotri(out.T, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverse from the Cholesky factor failed (dpotri info {info})")
-    return inv.T
+    return out
 
 
 def _phi(M):
@@ -162,24 +189,42 @@ def _openblas_thread_controls():
     return [control for control in controls if control is not None]
 
 
+class _Pin:
+    """The process-wide pin's state: entries still open, and the thread
+    counts the outermost entry saved."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved = ()
+
+
 @contextmanager
 def single_threaded_blas():
     """Run the block with every loaded OpenBLAS on one thread.
 
     The kernel, Cholesky and Kalman matrices here are too small to gain from
-    BLAS threads, so cores are better spent on caller-level parallelism (the
-    nowcast fold pool). The thread count is process-wide: enter this once,
-    around the whole parallel section, never from its workers. Saved counts
-    are restored on exit, also when the block raises. Without a loaded
-    OpenBLAS exporting a known setter (MKL, Accelerate, non-Linux) this does
-    nothing.
+    BLAS threads, and results would depend on the thread count, so every fit
+    (optim.maximize) and every backend's predict runs inside this pin, and
+    cores go to caller-level parallelism (the nowcast fold pool). The thread
+    count is process-wide, so the pin is too: entries nest and may come from
+    any thread. The outermost entry saves the counts and sets them to one,
+    and the last exit restores them, also when the block raises. Without a
+    loaded OpenBLAS exporting a known setter (MKL, Accelerate, non-Linux)
+    this does nothing.
     """
-    controls = _openblas_thread_controls()
-    saved = [control.get() for control in controls]
-    for control in controls:
-        control.set(1)
+    with _Pin.lock:
+        if _Pin.depth == 0:
+            controls = _openblas_thread_controls()
+            _Pin.saved = [(control, control.get()) for control in controls]
+            for control in controls:
+                control.set(1)
+        _Pin.depth += 1
     try:
         yield
     finally:
-        for control, count in zip(controls, saved):
-            control.set(count)
+        with _Pin.lock:
+            _Pin.depth -= 1
+            if _Pin.depth == 0:
+                for control, count in _Pin.saved:
+                    control.set(count)
+                _Pin.saved = ()

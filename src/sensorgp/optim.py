@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .linalg import single_threaded_blas
 
 MIN_LEARNING_RATE = 1e-8   # rejected steps halve the rate; below this the fit stops
 
@@ -62,22 +63,27 @@ class AdamState:
         self.t = 0
 
 
-def maximize(value_and_grad, x0, opts, evaluate=None):
+@single_threaded_blas()
+def maximize(value_and_grad, x0, opts, evaluate=None, value=None):
     """Gradient-ascend an objective, returning the best scored iterate.
 
     value_and_grad(x) -> (value, gradient) drives the steps and may be a
     minibatch estimate. Without `evaluate`, each accepted step is scored by
-    its value; with it, evaluate(x) scores the start, every eval_every-th
-    step and the last step, which calls evaluate alone since no step
-    follows to use its gradient. The trace holds the scores, and patience
+    its value; with it, evaluate(x) scores the start and every
+    eval_every-th step. The last step takes no gradient, since no step
+    follows to use it: evaluate(x) scores it, or without evaluate value(x),
+    which returns value_and_grad(x)'s value alone (value_and_grad itself
+    where neither is given). The trace holds the scores, and patience
     counts those that fail to beat best + tol * (1 + |best|). A step whose
-    value_and_grad (or, last, evaluate) fails numerically or goes
+    value_and_grad (or, last, its score) fails numerically or goes
     non-finite is rejected: the rate halves, the moments reset and the loop
     resumes from the best iterate, until the rate falls below
     MIN_LEARNING_RATE or the budget is spent.
 
-    Returns (best_x, best_value, iterations, converged, trace); the caller
-    labels parameters and packs a FitResult.
+    The whole fit runs inside linalg.single_threaded_blas(), so its result
+    does not depend on the caller's BLAS thread count. Returns (best_x,
+    best_value, iterations, converged, trace); the caller labels
+    parameters and packs a FitResult.
     """
     if opts.learning_rate <= 0.0:
         raise InputError(f"learning_rate must be positive, got {opts.learning_rate}")
@@ -86,8 +92,9 @@ def maximize(value_and_grad, x0, opts, evaluate=None):
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise InputError("initial parameters contain non-finite values")
-    value, grad = value_and_grad(x)
-    score = value if evaluate is None else evaluate(x)
+    final = evaluate or value or (lambda x: value_and_grad(x)[0])
+    step_value, grad = value_and_grad(x)
+    score = step_value if evaluate is None else evaluate(x)
     if not np.isfinite(score):
         raise InputError(f"objective is non-finite at the starting point ({score})")
 
@@ -100,15 +107,14 @@ def maximize(value_and_grad, x0, opts, evaluate=None):
 
     for iterations in range(1, opts.max_iters + 1):
         last = iterations == opts.max_iters
-        score_only = last and evaluate is not None   # no step follows to use a gradient
         candidate = adam.step(x, grad)
         try:
-            if score_only:
-                score = evaluate(candidate)
+            if last:
+                score = final(candidate)
                 ok = np.isfinite(score)
             else:
-                value, cand_grad = value_and_grad(candidate)
-                ok = np.isfinite(value) and np.all(np.isfinite(cand_grad))
+                step_value, cand_grad = value_and_grad(candidate)
+                ok = np.isfinite(step_value) and np.all(np.isfinite(cand_grad))
         except NumericalError:
             ok = False
         if not ok:
@@ -120,12 +126,12 @@ def maximize(value_and_grad, x0, opts, evaluate=None):
             x = best_x.copy()
             _, grad = value_and_grad(x)
             continue
-        if score_only:
+        if last:
             x = candidate
         else:
             x, grad = candidate, cand_grad
             if evaluate is None:
-                score = value
+                score = step_value
             elif iterations % opts.eval_every == 0:
                 score = evaluate(x)
             else:

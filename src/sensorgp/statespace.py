@@ -25,7 +25,7 @@ from . import optim
 from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
-from .linalg import chol_solve, chol_with_jitter, tri_solve
+from .linalg import chol_solve, chol_with_jitter, single_threaded_blas, tri_solve
 
 
 def _sandwich(L, P, R, S, q):
@@ -384,8 +384,8 @@ class StateSpaceGP:
             obs = np.flatnonzero(~np.isnan(row))
             if obs.size:
                 rows = pos[obs]
-                Smat = P[np.ix_(rows, rows)] + sigma2 * np.eye(obs.size)
-                Ls, _ = chol_with_jitter(Smat)
+                # the innovation covariance H P Hᵀ + σ² I, factored in one buffer
+                Ls, _ = chol_with_jitter(P[np.ix_(rows, rows)], sigma2)
                 e = row[obs] - self.mean - m[rows]
                 # one solve: [W | v] = Ls^-1 [H P | e]
                 Wv = tri_solve(Ls, np.column_stack([P[rows], e]))
@@ -468,8 +468,13 @@ class StateSpaceGP:
             value, _, _, grad = self._filter(self.grid.times, self.grid.values, grad=True)
             return value, grad
 
+        def value_only(theta):
+            # the same sweep without tangents: the same value, bit for bit
+            self.set_log_params(theta)
+            return self.log_marginal_likelihood()
+
         best_x, value, iters, converged, trace = optim.maximize(
-            value_and_grad, self.log_params(), opts
+            value_and_grad, self.log_params(), opts, value=value_only
         )
         self.set_log_params(best_x)
         params = dict(zip(self.param_names(), best_x.tolist()))
@@ -477,6 +482,7 @@ class StateSpaceGP:
 
     # -- prediction ---------------------------------------------------------
 
+    @single_threaded_blas()
     def predict(self, Xq):
         """Posterior at arbitrary (lat, lon, time) rows.
 

@@ -25,7 +25,7 @@ from . import optim
 from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
-from .linalg import chol_rev, chol_with_jitter, tri_solve
+from .linalg import chol_rev, chol_with_jitter, single_threaded_blas, tri_solve
 
 
 def init_inducing(X, m, seed=0):
@@ -360,6 +360,7 @@ class SVGPModel:
 
     # -- prediction ---------------------------------------------------------
 
+    @single_threaded_blas()
     def predict(self, Xq):
         """Variational posterior at query rows; same contract as the dense model."""
         Xq = query_matrix(Xq, self.X.shape[1])

@@ -82,6 +82,36 @@ def dense_grad_x(kernel, X, X2):
     return out
 
 
+def unfused_gram_and_grads(kernel, X, X2=None):
+    """K and the dense dK/dθ of a kernel tree with every product multiplied
+    out child by child by the product rule, each leaf evaluated on its own:
+    the form the library replaces by one exponential per product of leaves.
+    X2 None gives the diagonal."""
+    if isinstance(kernel, kernels._Combination):
+        parts = [unfused_gram_and_grads(child, X, X2) for child in kernel.children]
+        grams = [K for K, _ in parts]
+        if isinstance(kernel, kernels.Sum):
+            return sum(grams), [g for _, grads in parts for g in grads]
+        tangents = []
+        for i, (_, grads) in enumerate(parts):
+            others = np.prod([K for j, K in enumerate(grams) if j != i] or [1.0], axis=0)
+            tangents += [g * others for g in grads]
+        return np.prod(grams, axis=0), tangents
+    return kernel.diag_and_grads(X) if X2 is None else kernel.gram_and_grads(X, X2)
+
+
+def unfused_gram(kernel, X, X2):
+    """gram(X, X2) walked as the unfused form: each child's Gram in turn,
+    multiplied (or added) into the first."""
+    if not isinstance(kernel, kernels._Combination):
+        return kernel.gram(X, X2)
+    K = unfused_gram(kernel.children[0], X, X2)
+    for child in kernel.children[1:]:
+        K = K * unfused_gram(child, X, X2) if isinstance(kernel, kernels.Product) \
+            else K + unfused_gram(child, X, X2)
+    return K
+
+
 def difference_base(leaf, X, X2):
     """A leaf's hyperparameter-free base from the (n, m, d) differences: the
     summed squared differences of an SE, or the summed sin^2(π(x - x')/p)

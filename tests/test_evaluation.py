@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sensorgp import evaluation as ev
-from sensorgp import linalg, model_io
+from sensorgp import exact_gp, linalg, model_io, optim, statespace, svgp
+from sensorgp.data import build_dataset, synth_generate
 from sensorgp.errors import ConfigError, InputError, ProtocolError
 from sensorgp.exact_gp import GPModel
 from helpers import table
@@ -318,6 +319,45 @@ def test_forecast_fits_run_on_one_blas_thread(monkeypatch, fake_blas):
     assert set(report.per_site) == {"a", "b"}
     assert seen == [{"numpy": 1, "scipy": 1}] * 2
     assert fake_blas == {"numpy": 2, "scipy": 3}
+
+
+@pytest.mark.parametrize("backend", ["exact", "svgp", "statespace"])
+def test_library_fits_and_predicts_run_on_one_blas_thread(monkeypatch, fake_blas, backend):
+    # outside any protocol: the optimizer loop and predict pin BLAS themselves
+    seen = []
+    step = optim.AdamState.step
+    monkeypatch.setattr(
+        optim.AdamState, "step", lambda *args: seen.append(dict(fake_blas)) or step(*args)
+    )
+    for module in (exact_gp, svgp, statespace):
+        check = module.query_matrix
+        monkeypatch.setattr(
+            module, "query_matrix",
+            lambda *args, check=check: seen.append(dict(fake_blas)) or check(*args),
+        )
+    dataset = build_dataset(synth_generate(sites=3, days=2, seed=0).readings)
+    config = ev.ExperimentConfig(backend=backend, budget=3, n_inducing=5).resolved()
+    model, _ = ev.fit_model(dataset, config, seed=1)
+    model.predict(dataset.X[:4])
+    assert len(seen) == 4 and seen == [{"numpy": 1, "scipy": 1}] * 4
+    assert fake_blas == {"numpy": 2, "scipy": 3}
+
+
+def test_nowcast_results_do_not_depend_on_the_pool(monkeypatch):
+    # the program's own outputs: one fold thread or two, run twice, same bits
+    monkeypatch.setattr(ev, "usable_cores", lambda: 2)    # two threads on any box
+    readings = synth_generate(sites=4, days=2, seed=3).readings
+    config = dict(backend="svgp", n_inducing=5, batch_size=16, budget=12,
+                  repetitions=1, seeds=(2,))
+    serial = ev.nowcast_loo(readings, ev.ExperimentConfig(**config, parallelism=1))
+    pooled = [
+        ev.nowcast_loo(readings, ev.ExperimentConfig(**config, parallelism=2))
+        for _ in range(2)
+    ]
+    assert len(serial.per_site) == 4
+    for report in pooled:
+        assert report.per_site == serial.per_site
+        assert report.pooled_rmse == serial.pooled_rmse
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sensorgp import exact_gp, kernels
+from sensorgp import exact_gp, kernels, linalg
 from sensorgp.data import build_dataset, synth_generate
 from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel, subsample
@@ -255,6 +257,66 @@ def test_fit_ending_at_its_best_leaves_the_factor_for_predict(monkeypatch):
     theta[-1] += 1e-12
     m.set_log_params(theta)
     assert m._cache is None
+
+
+def forecast_model(n, seed):
+    """An exact model on (lat, lon, time) rows with the forecast kernel:
+    SE over space plus a daily × weekly product over time."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(size=(n, 2)), rng.uniform(0.0, 5.0, n)])
+    y = np.sin(2.0 * np.pi * X[:, 2]) + 0.3 * rng.normal(size=n)
+    k = kernels.SquaredExponential(1.0, 1.0, dims=[0, 1]) + kernels.Periodic(
+        1.0, 1.0, 1.0, dims=[2]
+    ) * kernels.Periodic(1.0, 1.0, 7.0, dims=[2])
+    return GPModel(k, X, y, noise_variance=0.1)
+
+
+def test_warm_fit_step_allocates_less_than_one_gram(monkeypatch):
+    n = 300
+    m = forecast_model(n, seed=18)
+    peaks = []
+
+    def three_steps(value_and_grad, x0, opts, **scorers):
+        # inside the fit, with its workspace: two warm steps, then one traced
+        for k in (1, 2):
+            value_and_grad(x0 + 0.01 * k)
+        tracemalloc.start()
+        try:
+            value_and_grad(x0 + 0.03)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return x0, 0.0, 3, False, []
+
+    monkeypatch.setattr(exact_gp, "maximize", three_steps)
+    m.fit()
+    assert peaks[0] < n * n * 8
+    assert m._workspace is None      # the fitted model keeps the factor alone
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads, as a library caller may leave it."""
+    controls = linalg._openblas_thread_controls()
+    saved = [control.get() for control in controls]
+    for control in controls:
+        control.set(2)
+    yield
+    for control, count in zip(controls, saved):
+        control.set(count)
+
+
+def test_fit_does_not_depend_on_the_callers_blas_threads(two_blas_threads):
+    # the fit pins BLAS itself, so a pin around it changes nothing
+    opts = OptimizerOptions(max_iters=5)
+    outside = forecast_model(250, seed=19)
+    outside.fit(opts)
+    inside = forecast_model(250, seed=19)
+    with linalg.single_threaded_blas():
+        inside.fit(opts)
+    assert np.array_equal(outside.log_params(), inside.log_params())
+    Xq = np.random.default_rng(20).normal(size=(7, 3))
+    assert np.array_equal(outside.predict(Xq).mean, inside.predict(Xq).mean)
 
 
 def test_constructor_validates_shapes():

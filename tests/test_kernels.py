@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from sensorgp import kernels
 from sensorgp.errors import InputError
-from helpers import central_diff, dense_grad_x, difference_base, max_rel_err
+from helpers import (
+    central_diff, dense_grad_x, difference_base, max_rel_err, unfused_gram,
+    unfused_gram_and_grads,
+)
 
 
 def point(k, a, b):
@@ -470,6 +474,74 @@ def test_input_adjoint_contracts_dense_derivatives(kernel, seed):
     # relative to the sum of magnitudes: the sum itself may cancel
     bound = 1e-12 * np.sum(np.abs(terms), axis=1)
     assert np.all(np.abs(input_adjoint(kernel, X, X2, Kbar) - terms.sum(axis=1)) <= bound)
+
+
+# ---------------------------------------------------------------------------
+# products of leaves as one exponential
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=kernel_trees, seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+def test_fused_products_match_the_unfused_oracle(kernel, seed, diagonal):
+    # the oracle multiplies every product out child by child
+    rng = np.random.default_rng(seed)
+    X, X2 = rng.normal(size=(6, WIDTH)), rng.normal(size=(5, WIDTH))
+    K_ref, tangents = unfused_gram_and_grads(kernel, X, None if diagonal else X2)
+    prepared = kernel.prepare_diag(X) if diagonal else kernel.prepare(X, X2)
+    K, vjp = prepared.gram_and_vjp()
+    assert np.all(np.abs(K - K_ref) <= 1e-13 * np.abs(K_ref) + np.finfo(float).tiny)
+    Kbar = rng.normal(size=K.shape)
+    reduced = vjp(Kbar)
+    for p, dK in enumerate(tangents):
+        bound = 1e-12 * np.sum(np.abs(Kbar * dK))
+        assert abs(reduced[p] - np.sum(Kbar * dK)) <= bound, kernel.param_names()[p]
+    if not diagonal:
+        terms = Kbar[..., None] * dense_grad_x(kernel, X, X2)
+        bound = 1e-12 * np.sum(np.abs(terms), axis=1)
+        assert np.all(np.abs(vjp(Kbar, inputs=True)[1] - terms.sum(axis=1)) <= bound)
+
+
+def traced_peak(f):
+    """Peak bytes of traced (numpy included) memory allocated while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_of_a_product_peaks_no_higher_than_the_unfused_walk():
+    # the walk drops each leaf's base before it builds the next one's
+    rng = np.random.default_rng(16)
+    X = np.column_stack([rng.normal(size=(200, 2)), rng.uniform(0.0, 5.0, 200)])
+    X2 = np.column_stack([rng.normal(size=(300, 2)), rng.uniform(0.0, 5.0, 300)])
+    k = (
+        kernels.SquaredExponential(1.2, 0.8, dims=[0, 1])
+        * kernels.Periodic(0.9, 1.1, 1.0, dims=[2])
+        * kernels.Periodic(1.1, 0.7, 7.0, dims=[2])
+    )
+    fused = traced_peak(lambda: k.gram(X, X2))
+    assert fused <= traced_peak(lambda: unfused_gram(k, X, X2))
+    assert np.allclose(k.gram(X, X2), unfused_gram(k, X, X2), rtol=1e-13, atol=0.0)
+
+
+def test_prepared_passes_reuse_their_arrays():
+    # the workspace contract: a later call on the same instance overwrites
+    # the earlier K, and a warm pass allocates no array of K's size
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(40, WIDTH))
+    k = random_tree(rng)
+    prepared = k.prepare(X)
+    K1 = prepared.gram_and_vjp()[0]
+    first = K1.copy()
+    k.set_log_params(k.log_params() + 0.1)
+    K2, vjp = prepared.gram_and_vjp()
+    assert K2 is K1 and not np.array_equal(K2, first)
+    assert np.array_equal(K2, k.gram(X))
+    Kbar = rng.normal(size=K2.shape)
+    assert traced_peak(lambda: vjp(Kbar)) < K2.nbytes
+    assert traced_peak(prepared.gram_and_vjp) < K2.nbytes
 
 
 # ---------------------------------------------------------------------------

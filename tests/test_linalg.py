@@ -1,4 +1,6 @@
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,43 @@ def test_chol_gives_up_with_level_list():
     # mean diagonal is negative, so the ladder falls back to an absolute scale
     assert levels[-1] == pytest.approx(1e-2)
     assert "jitter" in str(exc.value)
+
+
+def test_chol_factors_in_place_and_leaves_the_input():
+    # the factor of A + diagonal·I lands in `out`, zeros above; A is unchanged,
+    # and a failed level is refilled from A before the next
+    rng = np.random.default_rng(1)
+    A = spd(rng, 5)
+    kept = A.copy()
+    out = np.empty_like(A)
+    L, jitter = linalg.chol_with_jitter(A, 0.5, out=out)
+    assert L is out and jitter == 0.0
+    assert np.array_equal(A, kept)
+    assert np.array_equal(L, np.tril(L))
+    np.testing.assert_allclose(L @ L.T, A + 0.5 * np.eye(5), rtol=1e-12)
+    singular = np.ones((3, 3))
+    L, jitter = linalg.chol_with_jitter(singular, 0.0, out=np.empty((3, 3)))
+    assert jitter == pytest.approx(1e-8)
+    np.testing.assert_allclose(L @ L.T, singular + jitter * np.eye(3), atol=1e-12)
+
+
+def test_chol_rejects_non_finite_entries():
+    A = np.eye(3)
+    A[2, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite") as exc:
+        linalg.chol_with_jitter(A)
+    assert exc.value.jitter_levels == []
+
+
+def test_chol_inverse_lower_in_place():
+    rng = np.random.default_rng(2)
+    A = spd(rng, 6)
+    L, _ = linalg.chol_with_jitter(A)
+    out = np.empty_like(L)
+    inv = linalg.chol_inverse_lower(L, out=out)
+    assert inv is out
+    np.testing.assert_array_equal(inv, linalg.chol_inverse_lower(L))
+    np.testing.assert_allclose(inv, np.tril(np.linalg.inv(A)), atol=1e-12)
 
 
 def test_tri_solve_matches_numpy():
@@ -159,6 +198,51 @@ def test_single_threaded_blas_nests(blas_controls):
         with linalg.single_threaded_blas():
             assert counts(blas_controls) == [1] * len(blas_controls)
         assert counts(blas_controls) == [1] * len(blas_controls)
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_single_threaded_blas_concurrent_entries_restore_once(blas_controls):
+    # pool threads entering and leaving in any order: the counts stay at one
+    # while any entry is open and come back when the last one leaves
+    both_in = threading.Barrier(2)
+    seen = []
+
+    def worker(k):
+        with linalg.single_threaded_blas():
+            both_in.wait(timeout=10)
+            seen.append(counts(blas_controls))
+            if k:
+                both_in.wait(timeout=10)      # the other thread has left by now
+                seen.append(counts(blas_controls))
+        if not k:
+            both_in.wait(timeout=10)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(worker, [0, 1]))
+    assert seen == [[1] * len(blas_controls)] * 3
+    assert counts(blas_controls) == [2] * len(blas_controls)
+
+
+def test_single_threaded_blas_under_thread_stress(blas_controls):
+    # more threads than cores entering and leaving with frequent switches:
+    # a lost depth update would restore the counts inside an open entry
+    # or leave them pinned after the last exit
+    wrong = []
+
+    def worker(_):
+        for _ in range(100):
+            with linalg.single_threaded_blas():
+                if counts(blas_controls) != [1] * len(blas_controls):
+                    wrong.append(counts(blas_controls))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            list(pool.map(worker, range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
     assert counts(blas_controls) == [2] * len(blas_controls)
 
 

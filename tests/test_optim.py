@@ -160,10 +160,29 @@ def test_evaluate_takes_no_gradient_at_the_last_step(last_score):
         assert trace == [-1.0, -2.0, -0.5] and best_v == -0.5
         np.testing.assert_array_equal(best_x, evaluate_calls[2])
 
-    # without evaluate, every step's value scores it, so every step takes one
+    # without evaluate, every other step's value scores it, and the last step
+    # calls value alone: a finite value is accepted whatever the gradient
     vag_calls.clear()
-    optim.maximize(vag, np.zeros(1), opts)
-    assert len(vag_calls) == 11
+    value_calls = []
+
+    def value(x):
+        value_calls.append(x)
+        return last_score
+
+    def vag_nan_at_the_end(x):
+        value, grad = vag(x)
+        return value, grad * math.nan if len(vag_calls) == 11 else grad
+
+    best_x, best_v, iters, _, trace = optim.maximize(vag, np.zeros(1), opts, value=value)
+    assert len(vag_calls) == 10 and len(value_calls) == 1 and iters == 10
+    assert not any(np.array_equal(value_calls[0], x) for x in vag_calls)
+    assert len(trace) == (10 if math.isnan(last_score) else 11)
+    if not math.isnan(last_score):
+        assert trace[-1] == -0.5
+    # with neither, value_and_grad scores the last step, its gradient unused
+    vag_calls.clear()
+    trace = optim.maximize(vag_nan_at_the_end, np.zeros(1), opts)[-1]
+    assert len(vag_calls) == 11 and len(trace) == 11
 
 
 def test_patience_counts_scores_not_steps_or_rejections():

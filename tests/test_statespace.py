@@ -332,7 +332,7 @@ def fit_objective(model, monkeypatch):
     """The value-and-gradient function `fit` hands to the optimizer."""
     captured = []
 
-    def capture(value_and_grad, x0, opts):
+    def capture(value_and_grad, x0, opts, **scorers):
         captured.append(value_and_grad)
         return x0, 0.0, 0, False, []
 
