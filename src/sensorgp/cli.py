@@ -85,11 +85,19 @@ def _row_config(entries, cleaning):
     return _with_fences(eval_mod.ExperimentConfig(**merged), cleaning)
 
 
+def _config_number(value, key, kind):
+    """`kind(value)`, or a ConfigError naming the config key it came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
 def _with_fences(config, cleaning):
     """The config with the outlier-fence settings of the `cleaning` section."""
     return replace(
         config,
-        outlier_factor=float(cleaning.get("factor", 1.5)),
+        outlier_factor=_config_number(cleaning.get("factor", 1.5), "cleaning.factor", float),
         outlier_scope=cleaning.get("scope", "per-site"),
         outlier_mode=cleaning.get("mode", "tukey"),
     )
@@ -116,8 +124,10 @@ def _load_readings(raw, need_covariates):
     sensors = section.get("sensors")
     if not sensors:
         raise ConfigError("config key 'data.sensors' is required for this command")
+    min_count = _config_number(
+        section.get("min_site_readings", 100), "data.min_site_readings", int
+    )
     readings, report = data_mod.load_sensor_csv(sensors)
-    min_count = int(section.get("min_site_readings", 100))
     readings, dropped = data_mod.drop_sparse_sites(readings, min_count)
     if not len(readings):
         raise InputError(
@@ -178,10 +188,11 @@ def _reading_rows(readings, *values):
 def cmd_benchmark(args):
     raw = load_config(args.config)
     configs = _build_matrix(raw, args)
-    protocols = {
-        "nowcast": ("nowcast",), "forecast": ("forecast",),
-        "both": ("nowcast", "forecast"),
-    }[args.protocol]
+    protocols = raw.get("benchmark", {}).get("protocols", ["nowcast", "forecast"])
+    if args.protocol is not None:
+        protocols = ["nowcast", "forecast"] if args.protocol == "both" else [args.protocol]
+    if not isinstance(protocols, list) or not protocols:
+        raise ConfigError("benchmark.protocols must be a non-empty list of protocol names")
     need_covariates = any(c.additional_inputs for c in configs)
     readings, notes = _load_readings(raw, need_covariates)
     out = _out_dir(raw, args)
@@ -208,7 +219,9 @@ def _single_config(raw, overrides):
 def cmd_fit(args):
     raw = load_config(args.config)
     config = _single_config(raw, args)
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        seed = _config_number(raw.get("seed", 0), "seed", int)
     readings, _ = _load_readings(raw, config.additional_inputs)
     readings = eval_mod._clean_training(readings, config)
     dataset = data_mod.build_dataset(
@@ -329,7 +342,11 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="YAML or JSON run config")
         p.add_argument("--out-dir", default=None, help="output directory override")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=None, help="seed override")
+
+    def backend(p):
         p.add_argument(
             "--backend", choices=tuple(model_io.BACKENDS), default=None,
             help="restrict or override the model backend",
@@ -337,13 +354,17 @@ def build_parser():
 
     p = sub.add_parser("benchmark", help="run the model-comparison matrix")
     common(p)
+    backend(p)
     p.add_argument(
-        "--protocol", choices=("nowcast", "forecast", "both"), default="both"
+        "--protocol", choices=("nowcast", "forecast", "both"), default=None,
+        help="protocols to run (default: benchmark.protocols, else both)",
     )
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("fit", help="train one model and save it")
     common(p)
+    seed(p)
+    backend(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict from a saved model")
@@ -358,6 +379,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate synthetic data with known truth")
     common(p, config_required=False)
+    seed(p)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -2,15 +2,19 @@
 
 Two protocols: nowcasting (leave one site out, predict it from the
 others over the whole period) and forecasting (hold out the final 24
-hours everywhere). Each runs a configured model, repeats over seeds,
-and reports per-site RMSE in original units with min/average/max
-summaries, where "average" is the unweighted mean over sites of the
-per-site values (a pooled-over-points RMSE is reported alongside).
+hours everywhere). Each protocol only lists its folds, as a name and a
+held-out mask: one per site for nowcasting, one named "all" for
+forecasting. One fold runner does the rest: it trains each fold on the
+readings outside the mask, once per seed, and reports per-site RMSE in
+original units with min/average/max summaries, where "average" is the
+unweighted mean over sites of the per-site values (a pooled-over-points
+RMSE is reported alongside).
 
 Outlier cleaning is applied to training folds only; test targets are
 never touched.
 """
 
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +38,21 @@ def rmse(predictions, truths):
     t = np.asarray(truths, dtype=float).ravel()
     if p.size == 0 or p.size != t.size:
         raise InputError(f"need equal non-zero lengths, got {p.size} and {t.size}")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    return _root_mean_square(p - t)
+
+
+def _root_mean_square(errors):
+    return float(np.sqrt(np.mean(errors ** 2)))
+
+
+_POSITIVE_INTEGERS = ("repetitions", "budget", "subsample", "n_inducing", "batch_size",
+                      "parallelism")
+_NUMBERS = ("learning_rate", "outlier_factor", "noise_variance", "kernel_variance",
+            "kernel_lengthscale")
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -61,8 +79,8 @@ class ExperimentConfig:
     kernel_variance: float = 1.0
     kernel_lengthscale: float = 1.0
     optimize_inducing: bool = True
-    # nowcast folds at once, capped at usable_cores(): a fold thread beyond
-    # the cores only waits for the GIL and adds switching
+    # folds at once, capped at usable_cores(): a fold thread beyond the
+    # cores only waits for the GIL and adds switching
     parallelism: int = 4
 
     def resolved(self):
@@ -79,26 +97,26 @@ class ExperimentConfig:
                 "additional input columns"
             )
         if cfg.seeds is not None:
-            cfg.seeds = tuple(int(s) for s in cfg.seeds)
+            if not all(_is_number(seed, numbers.Integral) for seed in cfg.seeds):
+                raise ConfigError(f"seeds must be integers, got {cfg.seeds!r}")
+            cfg.seeds = tuple(int(seed) for seed in cfg.seeds)
         if cfg.repetitions is None:
             cfg.repetitions = cls.repetitions if cfg.seeds is None else len(cfg.seeds)
-        if cfg.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
+        if cfg.budget is None:
+            cfg.budget = cls.budget
+        for key in _POSITIVE_INTEGERS:
+            value = getattr(cfg, key)
+            if not _is_number(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        for key in _NUMBERS:      # their ranges are checked where they are used
+            value = getattr(cfg, key)
+            if not _is_number(value, numbers.Real):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
         if cfg.seeds is None:
             cfg.seeds = tuple(range(1, cfg.repetitions + 1))
         if len(cfg.seeds) != cfg.repetitions:
             raise ConfigError(
                 f"got {len(cfg.seeds)} seeds for {cfg.repetitions} repetitions"
-            )
-        if cfg.budget is None:
-            cfg.budget = cls.budget
-        if cfg.subsample < 1:
-            raise ConfigError("subsample size must be positive")
-        if cfg.n_inducing < 1:
-            raise ConfigError("need at least one inducing point")
-        if type(cfg.parallelism) is not int or cfg.parallelism < 1:
-            raise ConfigError(
-                f"parallelism must be a positive integer, got {cfg.parallelism!r}"
             )
         if cfg.name is None:
             tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
@@ -198,23 +216,6 @@ def _fit_and_predict(train, test, config, seed):
     return dataset.decode_targets(prediction.mean)
 
 
-def _finalize(protocol, config, site_reps, pooled_reps, fold_seconds, omitted):
-    per_site = {site: float(np.mean(vals)) for site, vals in site_reps.items()}
-    values = list(per_site.values())
-    return ExperimentReport(
-        protocol=protocol,
-        config=config,
-        per_site=per_site,
-        per_repetition={site: [float(v) for v in vals] for site, vals in site_reps.items()},
-        min_rmse=float(np.min(values)),
-        avg_rmse=float(np.mean(values)),
-        max_rmse=float(np.max(values)),
-        pooled_rmse=float(np.mean(pooled_reps)),
-        fold_seconds=fold_seconds,
-        omitted_sites=omitted,
-    )
-
-
 def usable_cores():
     """CPUs this process may run on: its affinity set where the OS has one."""
     try:
@@ -223,45 +224,75 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
+def _run_folds(protocol, readings, config, folds):
+    """Score a resolved config on each `(name, held-out mask)` fold.
+
+    A fold trains on the readings outside its mask, cleaned, and predicts
+    the ones inside it, once per seed. Per-site RMSE is taken over each
+    site's test rows and pooled RMSE over every fold's test rows, per seed.
+    """
+
+    def run_fold(fold):
+        name, held = fold
+        start = time.perf_counter()
+        test = readings.take(held)
+        test = test.take(np.argsort(test.site, kind="stable"))   # grouped by site
+        train = _clean_training(readings.take(~held), config)
+        if not len(train):
+            raise ProtocolError(f"fold {name!r} has an empty training set")
+        errors = [
+            _fit_and_predict(train, test, config, seed) - test.pm25 for seed in config.seeds
+        ]
+        sites, firsts = np.unique(test.site, return_index=True)
+        ends = np.append(firsts[1:], len(test))
+        scores = {
+            site: [_root_mean_square(err[a:b]) for err in errors]
+            for site, a, b in zip(sites.tolist(), firsts, ends)
+        }
+        trained = set(train.site.tolist())
+        return name, scores, errors, trained, time.perf_counter() - start
+
+    # the fits' small matrices gain nothing from BLAS threads; the folds get
+    # the cores, and no more threads than cores or folds. One fold thread is
+    # the calling thread.
+    workers = min(config.parallelism, usable_cores(), len(folds))
+    with linalg.single_threaded_blas():
+        if workers == 1:
+            results = [run_fold(fold) for fold in folds]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run_fold, folds))
+
+    names, scores, errors, trained, seconds = zip(*results)
+    site_reps = {site: reps for fold in scores for site, reps in fold.items()}
+    per_site = {site: float(np.mean(vals)) for site, vals in site_reps.items()}
+    values = list(per_site.values())
+    return ExperimentReport(
+        protocol=protocol,
+        config=config,
+        per_site=per_site,
+        per_repetition=site_reps,
+        min_rmse=float(np.min(values)),
+        avg_rmse=float(np.mean(values)),
+        max_rmse=float(np.max(values)),
+        # errors holds each fold's per-seed list; zip(*errors) is each seed's folds
+        pooled_rmse=float(np.mean(
+            [_root_mean_square(np.concatenate(per_fold)) for per_fold in zip(*errors)]
+        )),
+        fold_seconds=dict(zip(names, seconds)),
+        omitted_sites=sorted(set().union(*trained) - set(site_reps)),
+    )
+
+
 def nowcast_loo(readings, config):
     """Leave-one-site-out: train on every other site, predict the held-out one."""
     config = config.resolved()
     sites = np.unique(readings.site).tolist()
     if len(sites) < 2:
         raise ProtocolError("leave-one-site-out needs at least 2 sites")
-
-    def run_fold(site):
-        start = time.perf_counter()
-        held = readings.site == site
-        test = readings.take(held)
-        train = _clean_training(readings.take(~held), config)
-        if not len(train):
-            raise ProtocolError(f"fold {site!r} has an empty training set")
-        fold_rmses, fold_errors = [], []
-        for seed in config.seeds:
-            mean = _fit_and_predict(train, test, config, seed)
-            fold_rmses.append(rmse(mean, test.pm25))
-            fold_errors.append(mean - test.pm25)
-        return site, fold_rmses, fold_errors, time.perf_counter() - start
-
-    # the folds' small matrices gain nothing from BLAS threads; the pool gets
-    # the cores, and no more threads than cores
-    with linalg.single_threaded_blas(), ThreadPoolExecutor(
-        max_workers=min(config.parallelism, usable_cores())
-    ) as pool:
-        results = list(pool.map(run_fold, sites))
-
-    site_reps, fold_seconds = {}, {}
-    errors_by_rep = [[] for _ in config.seeds]
-    for site, fold_rmses, fold_errors, seconds in results:
-        site_reps[site] = fold_rmses
-        fold_seconds[site] = seconds
-        for k, err in enumerate(fold_errors):
-            errors_by_rep[k].append(err)
-    pooled = [
-        float(np.sqrt(np.mean(np.concatenate(errs) ** 2))) for errs in errors_by_rep
-    ]
-    return _finalize("nowcast", config, site_reps, pooled, fold_seconds, [])
+    return _run_folds(
+        "nowcast", readings, config, [(site, readings.site == site) for site in sites]
+    )
 
 
 def forecast_holdout(readings, config):
@@ -270,28 +301,7 @@ def forecast_holdout(readings, config):
     last = int(readings.hour.max())
     if last - int(readings.hour.min()) < 24:
         raise ProtocolError("forecasting needs at least 2 distinct days of data")
-    final_day = readings.hour > last - 24
-    train = _clean_training(readings.take(~final_day), config)
-    test = readings.take(final_day)
-    test = test.take(np.argsort(test.site, kind="stable"))   # grouped by site
-    sites, counts = np.unique(test.site, return_counts=True)
-    site_order = sites.tolist()
-    omitted = sorted(set(train.site.tolist()) - set(site_order))
-
-    start = time.perf_counter()
-    site_reps = {site: [] for site in site_order}
-    pooled = []
-    # serial fits still lose time when numpy's and scipy's BLAS pools contend
-    with linalg.single_threaded_blas():
-        for seed in config.seeds:
-            mean = _fit_and_predict(train, test, config, seed)
-            pooled.append(rmse(mean, test.pm25))
-            at = 0
-            for site, k in zip(site_order, counts):
-                site_reps[site].append(rmse(mean[at:at + k], test.pm25[at:at + k]))
-                at += k
-    seconds = {"all": time.perf_counter() - start}
-    return _finalize("forecast", config, site_reps, pooled, seconds, omitted)
+    return _run_folds("forecast", readings, config, [("all", readings.hour > last - 24)])
 
 
 PROTOCOLS = {"nowcast": nowcast_loo, "forecast": forecast_holdout}
@@ -318,24 +328,17 @@ def run_matrix(readings, configs=None, protocols=("nowcast", "forecast")):
 def _flag(value):
     return "yes" if value else "no"
 
-def comparison_rows(reports):
+
+def comparison_rows(reports, digits=4):
+    """One row of flags and RMSE summaries per report, as table strings."""
     rows = []
     for report in reports:
-        flags = report.config.flags_row()
-        rows.append(
-            {
-                "protocol": report.protocol,
-                "name": report.config.name,
-                "periodic": _flag(flags["periodic"]),
-                "outliers_removed": _flag(flags["outliers_removed"]),
-                "additional_inputs": _flag(flags["additional_inputs"]),
-                "sparse": flags["sparse"],
-                "min_rmse": f"{report.min_rmse:.4f}",
-                "avg_rmse": f"{report.avg_rmse:.4f}",
-                "max_rmse": f"{report.max_rmse:.4f}",
-                "pooled_rmse": f"{report.pooled_rmse:.4f}",
-            }
-        )
+        row = {"protocol": report.protocol, "name": report.config.name}
+        for key, value in report.config.flags_row().items():
+            row[key] = value if key == "sparse" else _flag(value)
+        for stat in ("min_rmse", "avg_rmse", "max_rmse", "pooled_rmse"):
+            row[stat] = f"{getattr(report, stat):.{digits}f}"
+        rows.append(row)
     return rows
 
 
@@ -348,32 +351,25 @@ def write_comparison_csv(reports, path):
         handle.write("\n".join(lines) + "\n")
 
 
+# comparison.txt's columns: row key -> header
+_TEXT_COLUMNS = {
+    "periodic": "Periodic", "outliers_removed": "Outliers Removed",
+    "additional_inputs": "Additional Inputs", "sparse": "Sparse",
+    "min_rmse": "Min RMSE", "avg_rmse": "Average RMSE", "max_rmse": "Max RMSE",
+}
+
+
 def write_comparison_text(reports, path):
     """Aligned text table per protocol, in the standard column order."""
-    headers = [
-        "Periodic", "Outliers Removed", "Additional Inputs", "Sparse",
-        "Min RMSE", "Average RMSE", "Max RMSE",
-    ]
     blocks = []
     for protocol in ("nowcast", "forecast"):
         chosen = [r for r in reports if r.protocol == protocol]
         if not chosen:
             continue
-        table = [headers]
-        for report in chosen:
-            flags = report.config.flags_row()
-            table.append(
-                [
-                    _flag(flags["periodic"]),
-                    _flag(flags["outliers_removed"]),
-                    _flag(flags["additional_inputs"]),
-                    flags["sparse"],
-                    f"{report.min_rmse:.2f}",
-                    f"{report.avg_rmse:.2f}",
-                    f"{report.max_rmse:.2f}",
-                ]
-            )
-        widths = [max(len(row[j]) for row in table) for j in range(len(headers))]
+        table = [list(_TEXT_COLUMNS.values())] + [
+            [row[key] for key in _TEXT_COLUMNS] for row in comparison_rows(chosen, digits=2)
+        ]
+        widths = [max(len(row[j]) for row in table) for j in range(len(_TEXT_COLUMNS))]
         lines = [f"== {protocol} =="]
         for row in table:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

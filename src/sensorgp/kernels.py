@@ -299,6 +299,8 @@ class Kernel:
         return self.prepare(X, X2).gram_and_vjp()[1](Kbar, inputs=True)[1]
 
     def _value(self, X, X2, paired):
+        # leaves and combinations override this; a custom node that defines
+        # only _base and _forward evaluates through it
         return self._forward(self._base(X, X2, paired))[0]
 
     def _value_and_tangents(self, base):

@@ -336,6 +336,7 @@ class SVGPModel:
             objective_trace=trace,
         )
 
+    @single_threaded_blas()
     def set_optimal_variational(self):
         """Closed-form optimum of q for the current hyperparameters.
 

@@ -441,6 +441,66 @@ def test_benchmark_protocol_flag_restricts_rows(tmp_path, sensors):
     assert [r[0] for r in rows] == ["forecast"]
 
 
+def test_benchmark_runs_the_configured_protocols(tmp_path, sensors, capsys):
+    config = write_config(
+        tmp_path / "bench.json",
+        {"data": {"sensors": str(sensors), "min_site_readings": 10},
+         "benchmark": {"matrix": [MEAN_PREDICTOR], "protocols": ["forecast"]}},
+    )
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(config), "--out-dir", str(out)]) == 0
+    _, rows = read_csv_rows(out / "comparison.csv")
+    assert [r[0] for r in rows] == ["forecast"]
+    # the flag wins over the config
+    assert main(["benchmark", "--config", str(config), "--out-dir", str(out),
+                 "--protocol", "nowcast"]) == 0
+    _, rows = read_csv_rows(out / "comparison.csv")
+    assert [r[0] for r in rows] == ["nowcast"]
+    capsys.readouterr()
+
+    unknown = write_config(
+        tmp_path / "unknown.json",
+        {"data": {"sensors": str(sensors), "min_site_readings": 10},
+         "benchmark": {"matrix": [MEAN_PREDICTOR], "protocols": ["hindcast"]}},
+    )
+    assert main(["benchmark", "--config", str(unknown), "--out-dir", str(out)]) == 1
+    assert "unknown protocol 'hindcast'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--config", "run.json", "--seed", "3"],
+    ["benchmark", "--config", "run.json", "--seed", "3"],
+    ["predict", "--model", "m.json", "--queries", "q.csv", "--seed", "3"],
+    ["predict", "--model", "m.json", "--queries", "q.csv", "--backend", "exact"],
+    ["stats", "--config", "run.json", "--backend", "svgp"],
+    ["synth", "--backend", "exact"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("stats", "data", "min_site_readings", "lots"),
+    ("benchmark", "cleaning", "factor", "big"),
+    ("fit", "experiment", "budget", "ten"),
+])
+def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
+                                            command, section, key, value):
+    payload = {"data": {"sensors": str(sensors), "min_site_readings": 10},
+               "experiment": dict(MEAN_PREDICTOR),
+               "benchmark": {"matrix": [MEAN_PREDICTOR]}}
+    payload.setdefault(section, {})[key] = value
+    config = write_config(tmp_path / "run.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and repr(value) in err
+    assert not out.exists()
+
+
 def test_benchmark_backend_filter_with_no_match_fails(tmp_path, sensors, capsys):
     config = benchmark_config(tmp_path, sensors)
     assert main(

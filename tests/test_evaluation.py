@@ -82,6 +82,18 @@ def test_config_validation_errors():
     for bad in (0, -3, True, False, "4", 2.0, None):
         with pytest.raises(ConfigError, match="parallelism must be a positive integer"):
             ev.ExperimentConfig(parallelism=bad).resolved()
+    for key in ("budget", "subsample", "n_inducing", "batch_size"):
+        for bad in (0, "ten", 2.5, True):
+            with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
+                ev.ExperimentConfig(**{key: bad}).resolved()
+    for key in ("learning_rate", "noise_variance", "kernel_variance", "kernel_lengthscale",
+                "outlier_factor"):
+        for bad in ("big", None, False):
+            with pytest.raises(ConfigError, match=f"{key} must be a number"):
+                ev.ExperimentConfig(**{key: bad}).resolved()
+    with pytest.raises(ConfigError, match="seeds must be integers"):
+        ev.ExperimentConfig(seeds=("one",)).resolved()
+    assert ev.ExperimentConfig(learning_rate=1, seeds=[np.int64(3)]).resolved().seeds == (3,)
 
 
 def test_default_matrix_flag_pattern():
@@ -341,6 +353,17 @@ def test_library_fits_and_predicts_run_on_one_blas_thread(monkeypatch, fake_blas
     model.predict(dataset.X[:4])
     assert len(seen) == 4 and seen == [{"numpy": 1, "scipy": 1}] * 4
     assert fake_blas == {"numpy": 2, "scipy": 3}
+    if backend == "svgp":
+        # the closed-form variational optimum factors its own matrices
+        seen.clear()
+        chol = svgp.chol_with_jitter
+        monkeypatch.setattr(
+            svgp, "chol_with_jitter",
+            lambda *args: seen.append(dict(fake_blas)) or chol(*args),
+        )
+        model.set_optimal_variational()
+        assert seen and seen == [{"numpy": 1, "scipy": 1}] * len(seen)
+        assert fake_blas == {"numpy": 2, "scipy": 3}
 
 
 def test_nowcast_results_do_not_depend_on_the_pool(monkeypatch):
@@ -358,6 +381,79 @@ def test_nowcast_results_do_not_depend_on_the_pool(monkeypatch):
     for report in pooled:
         assert report.per_site == serial.per_site
         assert report.pooled_rmse == serial.pooled_rmse
+
+
+# ---------------------------------------------------------------------------
+# the fold runner both protocols share
+
+
+def runner_readings():
+    """Sites a and b over 3 days; site c stops before the final day."""
+    rows = [mk(site, lat, 32.5, h, 10.0 + 5.0 * k + h % 5)
+            for h in range(72)
+            for k, (site, lat) in enumerate((("a", 0.30), ("b", 0.32)))]
+    rows += [mk("c", 0.34, 32.5, h, 40.0 + h % 7) for h in range(40)]
+    return rows
+
+
+def known_means(train, test, config, seed):
+    """A stand-in fit: the truth scaled by 1 + seed/10, so every error is seed/10 x truth."""
+    assert np.all(test.site[:-1] <= test.site[1:])       # test rows grouped by site
+    held = set(zip(test.site.tolist(), test.hour.tolist()))
+    assert held.isdisjoint(zip(train.site.tolist(), train.hour.tolist()))
+    return test.pm25 * (1.0 + seed / 10.0)
+
+
+def by_hand(values, seed):
+    return math.sqrt(sum((seed / 10.0 * v) ** 2 for v in values) / len(values))
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("protocol", ["nowcast", "forecast"])
+def test_fold_runner_scores_known_means(monkeypatch, protocol, parallelism):
+    monkeypatch.setattr(ev, "_fit_and_predict", known_means)
+    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+    rows = runner_readings()
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2),
+                                    "parallelism": parallelism})
+    run = ev.nowcast_loo if protocol == "nowcast" else ev.forecast_holdout
+    report = run(table(rows), config)
+
+    # nowcast scores every reading of each site; forecast the final 24 hours
+    tested = [r for r in rows if protocol == "nowcast" or r[3] >= 48]
+    scored = sorted({r[0] for r in tested})
+    values = {site: [r[4] for r in tested if r[0] == site] for site in scored}
+    expected = {site: [by_hand(values[site], seed) for seed in (1, 2)] for site in scored}
+    assert list(report.per_repetition) == scored
+    for site in scored:
+        assert report.per_repetition[site] == pytest.approx(expected[site], rel=1e-12)
+        assert report.per_site[site] == pytest.approx(np.mean(expected[site]), rel=1e-12)
+    pooled = np.mean([by_hand([r[4] for r in tested], seed) for seed in (1, 2)])
+    assert report.pooled_rmse == pytest.approx(pooled, rel=1e-12)
+    assert report.min_rmse == min(report.per_site.values())
+    assert report.max_rmse == max(report.per_site.values())
+    if protocol == "nowcast":
+        assert list(report.fold_seconds) == ["a", "b", "c"]
+        assert report.omitted_sites == []
+    else:
+        assert list(report.fold_seconds) == ["all"]
+        assert report.omitted_sites == ["c"]
+
+
+def test_forecast_fold_runs_on_the_calling_thread(monkeypatch):
+    idents = []
+
+    def recording(train, test, config, seed):
+        idents.append(threading.get_ident())
+        return known_means(train, test, config, seed)
+
+    monkeypatch.setattr(ev, "_fit_and_predict", recording)
+    monkeypatch.setattr(ev, "usable_cores", lambda: 4)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2),
+                                    "parallelism": 4})
+    report = ev.forecast_holdout(table(runner_readings()), config)
+    assert set(report.per_site) == {"a", "b"}
+    assert idents == [threading.get_ident()] * 2
 
 
 # ---------------------------------------------------------------------------
