@@ -80,8 +80,6 @@ def _row_config(entries, cleaning):
     merged = dict(entries)
     if "clean_outliers" not in merged and cleaning.get("remove_outliers"):
         merged["clean_outliers"] = True
-    if "seeds" in merged and merged["seeds"] is not None:
-        merged["seeds"] = tuple(merged["seeds"])
     return _with_fences(eval_mod.ExperimentConfig(**merged), cleaning)
 
 
@@ -93,23 +91,35 @@ def _config_number(value, key, kind):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
+def _cleaning_choice(cleaning, key, default, choices):
+    """The `cleaning` section's `key` if it is one of `choices`, else a ConfigError."""
+    value = cleaning.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"config key 'cleaning.{key}' must be one of {choices}, got {value!r}")
+    return value
+
+
 def _with_fences(config, cleaning):
     """The config with the outlier-fence settings of the `cleaning` section."""
     return replace(
         config,
         outlier_factor=_config_number(cleaning.get("factor", 1.5), "cleaning.factor", float),
-        outlier_scope=cleaning.get("scope", "per-site"),
-        outlier_mode=cleaning.get("mode", "tukey"),
+        outlier_scope=_cleaning_choice(cleaning, "scope", "per-site", data_mod.OUTLIER_SCOPES),
+        outlier_mode=_cleaning_choice(cleaning, "mode", "tukey", data_mod.OUTLIER_MODES),
     )
 
 
 def _build_matrix(raw, overrides):
+    """Every matrix row resolved and checked, so a bad row fails before any data loads."""
     cleaning = raw.get("cleaning", {})
     matrix = raw.get("benchmark", {}).get("matrix", "default")
     if matrix in (None, "default"):
-        configs = [_with_fences(c, cleaning) for c in eval_mod.default_matrix()]
+        configs = [_with_fences(c, cleaning).resolved() for c in eval_mod.default_matrix()]
     elif isinstance(matrix, list):
-        configs = [_row_config(row, cleaning) for row in matrix]
+        configs = [
+            _row_config(row, cleaning).resolved(f"benchmark.matrix[{i}].")
+            for i, row in enumerate(matrix)
+        ]
     else:
         raise ConfigError("benchmark.matrix must be 'default' or a list of rows")
     if overrides.backend:
@@ -193,6 +203,10 @@ def cmd_benchmark(args):
         protocols = ["nowcast", "forecast"] if args.protocol == "both" else [args.protocol]
     if not isinstance(protocols, list) or not protocols:
         raise ConfigError("benchmark.protocols must be a non-empty list of protocol names")
+    for name in protocols:
+        if name not in tuple(eval_mod.PROTOCOLS):   # a YAML name may be unhashable
+            raise ConfigError(f"unknown protocol {name!r} in benchmark.protocols "
+                              "(expected nowcast/forecast)")
     need_covariates = any(c.additional_inputs for c in configs)
     readings, notes = _load_readings(raw, need_covariates)
     out = _out_dir(raw, args)
@@ -213,7 +227,7 @@ def _single_config(raw, overrides):
     if overrides.backend:
         experiment["backend"] = overrides.backend
     cleaning = raw.get("cleaning", {})
-    return _row_config(experiment, cleaning).resolved()
+    return _row_config(experiment, cleaning).resolved("experiment.")
 
 
 def cmd_fit(args):

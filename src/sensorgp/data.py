@@ -32,6 +32,8 @@ COVARIATE_INPUT_COLUMNS = (
 )
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 HOUR = timedelta(hours=1)
+OUTLIER_SCOPES = ("per-site", "global")
+OUTLIER_MODES = ("tukey", "mean")
 
 
 @dataclass(eq=False)
@@ -259,9 +261,9 @@ def remove_outliers(readings, factor=1.5, scope="per-site", mode="tukey"):
     'mean' centers them on the group mean instead. Groups with fewer than
     four readings are left untouched and flagged as skipped.
     """
-    if scope not in ("per-site", "global"):
+    if scope not in OUTLIER_SCOPES:
         raise InputError(f"unknown outlier scope {scope!r}")
-    if mode not in ("tukey", "mean"):
+    if mode not in OUTLIER_MODES:
         raise InputError(f"unknown outlier mode {mode!r} (expected 'tukey' or 'mean')")
     key = readings.site if scope == "per-site" else np.full(len(readings), "__all__")
     report = OutlierReport(factor=factor, mode=mode, scope=scope)

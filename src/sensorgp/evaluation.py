@@ -83,22 +83,23 @@ class ExperimentConfig:
     # cores only waits for the GIL and adds switching
     parallelism: int = 4
 
-    def resolved(self):
-        """Fill defaults, validate, and return a fully concrete copy."""
+    def resolved(self, where=""):
+        """Fill defaults, validate, and return a fully concrete copy. Error
+        messages name each key after `where`, the config path of the row."""
         cfg = replace(self)
         cls = model_io.BACKENDS.get(cfg.backend)
         if cls is None:
-            raise ConfigError(
-                f"unknown backend {cfg.backend!r} (expected one of {tuple(model_io.BACKENDS)})"
-            )
+            raise ConfigError(f"unknown {where}backend {cfg.backend!r} "
+                              f"(expected one of {tuple(model_io.BACKENDS)})")
         if cls.spatial_only and (cfg.periodic or cfg.additional_inputs):
-            raise ConfigError(
-                f"the {cfg.backend} backend supports neither periodic kernels nor "
-                "additional input columns"
-            )
+            key = "periodic" if cfg.periodic else "additional_inputs"
+            raise ConfigError(f"{where}{key}: the {cfg.backend} backend supports neither "
+                              "periodic kernels nor additional input columns")
         if cfg.seeds is not None:
-            if not all(_is_number(seed, numbers.Integral) for seed in cfg.seeds):
-                raise ConfigError(f"seeds must be integers, got {cfg.seeds!r}")
+            if not isinstance(cfg.seeds, (list, tuple)) or not all(
+                _is_number(seed, numbers.Integral) for seed in cfg.seeds
+            ):
+                raise ConfigError(f"{where}seeds must be integers, got {cfg.seeds!r}")
             cfg.seeds = tuple(int(seed) for seed in cfg.seeds)
         if cfg.repetitions is None:
             cfg.repetitions = cls.repetitions if cfg.seeds is None else len(cfg.seeds)
@@ -107,16 +108,16 @@ class ExperimentConfig:
         for key in _POSITIVE_INTEGERS:
             value = getattr(cfg, key)
             if not _is_number(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{where}{key} must be a positive integer, got {value!r}")
         for key in _NUMBERS:      # their ranges are checked where they are used
             value = getattr(cfg, key)
             if not _is_number(value, numbers.Real):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
+                raise ConfigError(f"{where}{key} must be a number, got {value!r}")
         if cfg.seeds is None:
             cfg.seeds = tuple(range(1, cfg.repetitions + 1))
         if len(cfg.seeds) != cfg.repetitions:
             raise ConfigError(
-                f"got {len(cfg.seeds)} seeds for {cfg.repetitions} repetitions"
+                f"{where}seeds: got {len(cfg.seeds)} seeds for {cfg.repetitions} repetitions"
             )
         if cfg.name is None:
             tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,

@@ -28,10 +28,10 @@ parameter without forming those matrices: ``Sum`` passes K̄ down, a leaf or
 product of leaves forms ``W = K̄ ∘ K`` once and reduces ``c_p ΣW`` for a
 variance and ``c_p ⟨W, M_p⟩`` otherwise, and a product with a ``Sum`` among
 its children passes K̄ times the other factors (Rasmussen & Williams 2006,
-§4.2.4). ``gram_and_grads`` multiplies the same terms out into dense
-tangents. The same walk gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input,
-each leaf adding its columns from W by ``(n, m)`` matrix products, with no
-``(n, m, d)`` array. A diagonal is the same tree over paired rows.
+§4.2.4); every fit takes its kernel gradient from this pass. The same walk
+gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding its columns
+from W by ``(n, m)`` products. ``gram_and_grads`` multiplies the terms out
+into dense tangents for tests. A diagonal is the same tree over paired rows.
 
 A ``PreparedInputs`` is also its passes' workspace: each node keeps its
 output array across ``gram_and_vjp()`` calls, so a warm pass allocates no

@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from . import optim
 from .errors import InputError
 from .exact_gp import LOG_2PI, PosteriorPrediction, query_matrix
 from .kernels import from_config, to_config
-from .linalg import chol_solve, chol_with_jitter, single_threaded_blas, tri_solve
+from .linalg import chol_rev, chol_solve, chol_with_jitter, single_threaded_blas, tri_solve
 
 
 def _sandwich(L, P, R, S, q):
@@ -35,12 +34,6 @@ def _sandwich(L, P, R, S, q):
     half = (L @ P.reshape(lead + (S, q, n))).reshape(P.shape)
     full = (half.reshape(lead + (n, S, q)) @ R.T).reshape(P.shape)
     return half, full
-
-
-def _kron_tangents(Ks, dKs, Pt, dPt):
-    """Tangents of Ks (x) Pt: dKs_i (x) Pt per spatial parameter, then
-    Ks (x) dPt_j per temporal one, as one (len(dKs) + 2, n, n) array."""
-    return np.stack([np.kron(dK, Pt) for dK in dKs] + [np.kron(Ks, d) for d in dPt])
 
 
 class TemporalKernel:
@@ -310,75 +303,39 @@ class StateSpaceGP:
         half, P_new = _sandwich(A, P, A, S, q)
         return m_new, P_new, half
 
-    def _filter(self, times, values, collect=False, grad=False):
-        """Forward pass; returns (loglik, filtered, steps).
+    def _filter(self, times, values, keep=False):
+        """Forward pass; returns (loglik, steps).
 
-        When collecting, `filtered` holds the per-step filtered moments and
-        `steps` the (A, Q) pair each prediction used, one object per distinct
-        gap, which the smoother reuses; both are None otherwise.
-
-        With `grad`, the same recursion also carries the tangents dm/dθ and
-        dP/dθ, one row per parameter, through every predict and update step,
-        and a fourth item is returned: the exact gradient of the
-        log-likelihood in `log_params` order (Sarkka 2013, ch. 12).
+        With `keep`, `steps` holds one (transition, update, m, P) entry per
+        step for the backward sweeps (the smoother and `_gradient`): the
+        transition is (dt, A, Qt, Ks (x) Qt), one object per distinct gap and
+        None at the first step; the update is (rows, Ls, [W | v]), None where
+        nothing was observed; m, P are the filtered moments.
         """
         S = self.grid.coords.shape[0]
-        q = self.temporal.state_dim
-        n = S * q
+        n = S * self.temporal.state_dim
         pos = self._position_index(S)
         sigma2 = self.noise_variance
-        if grad:
-            Ks, dKs = self.spatial_kernel.gram_and_grads(self.grid.coords)
-            Pinf, dPinf = self.temporal.stationary_cov_and_grads()
-            # tangent rows: spatial params, time variance, time lengthscale,
-            # noise, mean; the first k + 2 enter through Ks (x) P_inf and Ks (x) Q
-            k = len(dKs)
-            ell, noise, mean = k + 1, k + 2, k + 3
-            dm = np.zeros((k + 4, n))
-            dP = np.zeros((k + 4, n, n))
-            dP[:k + 2] = _kron_tangents(Ks, dKs, Pinf, dPinf)
-            gradient = np.zeros(k + 4)
-        else:
-            Ks = self.spatial_kernel.gram(self.grid.coords)
-            Pinf = self.temporal.stationary_cov()
+        Ks = self.spatial_kernel.gram(self.grid.coords)
 
         m = np.zeros(n)
-        P = np.kron(Ks, Pinf)
+        P = np.kron(Ks, self.temporal.stationary_cov())
         loglik = 0.0
         transitions = {}
-        filtered = [] if collect else None
-        steps = [] if collect else None
+        steps = [] if keep else None
 
         for t in range(times.size):
+            transition = update = None
             if t > 0:
                 dt = float(times[t] - times[t - 1])
                 key = round(dt, 12)
                 if key not in transitions:
-                    if grad:
-                        A, Qt, dA, dQt = self.temporal.transition_and_grads(dt)
-                        transitions[key] = (
-                            A, np.kron(Ks, Qt), dA[1], _kron_tangents(Ks, dKs, Qt, dQt)
-                        )
-                    else:
-                        A, Qt = self.temporal.transition(dt)
-                        transitions[key] = (A, np.kron(Ks, Qt))
-                entry = transitions[key]
-                A, Q = entry[:2]
-                if grad:
-                    dA, dQ = entry[2:]
-                    # the lengthscale moves A itself: d(A m) and d(A P A^T)
-                    # gain dA m and dA P A^T + its transpose
-                    dm_ell = (m.reshape(S, q) @ dA.T).ravel()
-                    cross = _sandwich(dA, P, A, S, q)[1]
-                    dm = (dm.reshape(-1, S, q) @ A.T).reshape(-1, n)
-                    dm[ell] += dm_ell
-                    dP = _sandwich(A, dP, A, S, q)[1]
-                    dP[ell] += cross + cross.T
-                    dP[:k + 2] += dQ
+                    A, Qt = self.temporal.transition(dt)
+                    transitions[key] = (dt, A, Qt, np.kron(Ks, Qt))
+                transition = transitions[key]
+                _, A, _, Q = transition
                 m, P, _ = self._apply_transition(A, m, P)
                 P = P + Q
-                if collect:
-                    steps.append((A, Q))
 
             row = values[t]
             obs = np.flatnonzero(~np.isnan(row))
@@ -392,37 +349,80 @@ class StateSpaceGP:
                 W, v = Wv[:, :n], Wv[:, n]
                 loglik += -0.5 * (v @ v) - np.sum(np.log(np.diag(Ls))) \
                     - 0.5 * obs.size * LOG_2PI
-                if grad:
-                    # with G = S^-1 H P and alpha = S^-1 e, per parameter:
-                    #   d loglik = -alpha.de + alpha.dS.alpha / 2 - tr(S^-1 dS) / 2
-                    #   dm+ = dm + dP H^T alpha + G^T (de - dS alpha)
-                    #   dP+ = dP - M - M^T, with M = G^T (H dP - dS G / 2)
-                    Linv, _ = dtrtri(Ls, lower=1)
-                    G = Linv.T @ W                    # S^-1 H P, the gain's transpose
-                    alpha = Linv.T @ v                # S^-1 e
-                    B = dP[:, rows]                   # H dP
-                    dS = B[:, :, rows]
-                    dS[noise] += sigma2 * np.eye(obs.size)
-                    de = -dm[:, rows]
-                    de[mean] -= 1.0
-                    dS_alpha = dS @ alpha
-                    gradient += -de @ alpha + 0.5 * (dS_alpha @ alpha) \
-                        - 0.5 * np.einsum("pab,ab->p", dS, Linv.T @ Linv)
-                    dm = dm + alpha @ B + (de - dS_alpha) @ G
-                    M = G.T @ (B - 0.5 * dS @ G)
-                    dP = dP - M - M.transpose(0, 2, 1)
                 m = m + W.T @ v
                 P = P - W.T @ W
                 P = 0.5 * (P + P.T)
-            if collect:
-                filtered.append((m.copy(), P.copy()))
-
-        if grad:
-            return float(loglik), filtered, steps, gradient
-        return float(loglik), filtered, steps
+                update = (rows, Ls, Wv)
+            if keep:
+                steps.append((transition, update, m, P))
+        return float(loglik), steps
 
     def log_marginal_likelihood(self):
         return self._filter(self.grid.times, self.grid.values)[0]
+
+    def _gradient(self, steps):
+        """Exact gradient of the filter's log-likelihood in `log_params` order,
+        from the steps a `_filter(..., keep=True)` kept.
+
+        One backward sweep carries the adjoints m̄, P̄ of the filtered moments
+        through each update, with `chol_rev` for the innovation factor (Murray
+        2016), and through each prediction by the matrix adjoint rules (Giles
+        2008), summing Ā and Q̄ per distinct gap. Only then are they mapped to
+        the parameters: the temporal ones through the transition and
+        stationary derivatives, the spatial ones through K̄s and one reverse
+        pass of the spatial kernel.
+        """
+        S, q = self.grid.coords.shape[0], self.temporal.state_dim
+        n = S * q
+        mbar, Pbar, noise_bar, mean_bar = np.zeros(n), np.zeros((n, n)), 0.0, 0.0
+        gaps = {}                       # id(transition) -> [transition, Ā, Q̄]
+        for t in range(len(steps) - 1, -1, -1):
+            transition, update, _, _ = steps[t]
+            if update is not None:
+                # m = m- + Wᵀv and P = P- - WᵀW, with loglik -v·v/2 - Σ log diag Ls
+                rows, Ls, Wv = update
+                W, v = Wv[:, :n], Wv[:, n]
+                Xbar = np.column_stack([np.outer(v, mbar) - 2.0 * (W @ Pbar), W @ mbar - v])
+                # [W | v] = Ls^-1 [H P- | e] with e = y - mean - H m-; the rows H P- reads
+                # go half to P̄'s rows and half to its columns, so P̄ stays symmetric
+                Bbar = tri_solve(Ls, Xbar, trans=True)
+                Lbar = -(Bbar @ Wv.T)
+                Lbar[np.diag_indices_from(Lbar)] -= 1.0 / np.diag(Ls)
+                Sbar = chol_rev(Ls, Lbar)           # the adjoint of H P- Hᵀ + σ² I
+                noise_bar += np.trace(Sbar)
+                mean_bar -= Bbar[:, n].sum()
+                mbar[rows] -= Bbar[:, n]
+                Pbar[rows] += 0.5 * Bbar[:, :n]
+                Pbar[:, rows] += 0.5 * Bbar[:, :n].T
+                Pbar[np.ix_(rows, rows)] += Sbar
+            if transition is not None:
+                # m- = (I (x) A) m and P- = (I (x) A) P (I (x) A)ᵀ + Ks (x) Qt
+                A = transition[1]
+                _, _, m, P = steps[t - 1]
+                entry = gaps.setdefault(id(transition), [transition, 0.0, 0.0])
+                # Ā sums the diagonal site blocks of m̄ mᵀ + 2 P̄ (I (x) A) P
+                AP = (A @ P.reshape(S, q, n)).reshape(n, S, q).transpose(1, 0, 2)
+                entry[1] += mbar.reshape(S, q).T @ m.reshape(S, q) \
+                    + 2.0 * (Pbar.reshape(S, q, n) @ AP).sum(axis=0)
+                entry[2] += Pbar
+                mbar = (mbar.reshape(S, q) @ A).ravel()
+                Pbar = _sandwich(A.T, Pbar, A.T, S, q)[1]
+
+        Ks, vjp = self.spatial_kernel.prepare(self.grid.coords).gram_and_vjp()
+        time_bar, Ks_bar = np.zeros(2), np.zeros((S, S))
+        # what is left in P̄ is the prior's, P0 = Ks (x) P_inf
+        kron_adjoints = [(*self.temporal.stationary_cov_and_grads(), Pbar)]
+        for (dt, _, Qt, _), Abar, Qbar in gaps.values():
+            dA, dQt = self.temporal.transition_and_grads(dt)[2:]
+            time_bar += np.einsum("pab,ab->p", dA, Abar)
+            kron_adjoints.append((Qt, dQt, Qbar))
+        for Pt, dPt, Kbar in kron_adjoints:
+            # d(Ks (x) Pt): K̄s pairs each site block with Pt, P̄t sums them over Ks
+            blocks = Kbar.reshape(S, q, S, q)
+            Ks_bar += np.einsum("satb,ab->st", blocks, Pt)
+            time_bar += np.einsum("pab,ab->p", dPt, np.einsum("st,satb->ab", Ks, blocks))
+        noise_bar *= self.noise_variance        # the noise enters as exp(log σ²)
+        return np.concatenate([vjp(Ks_bar), time_bar, [noise_bar, mean_bar]])
 
     def _smoothed_site_moments(self, times, values, wanted):
         """Smoothed mean/cov of the per-site function values at selected steps.
@@ -430,20 +430,20 @@ class StateSpaceGP:
         Runs the filter forward then the RTS recursion backward, keeping
         only the position block (value component of every site's state) at
         the steps listed in `wanted`. The backward pass inverts the
-        filter's own prediction steps: it reuses their (A, Q) pairs.
+        filter's own prediction steps: it reuses their transitions.
         """
-        _, filtered, steps = self._filter(times, values, collect=True)
+        _, steps = self._filter(times, values, keep=True)
         S = self.grid.coords.shape[0]
         pos = self._position_index(S)
         wanted = set(int(w) for w in wanted)
         out = {}
 
-        m_s, P_s = filtered[-1]
+        _, _, m_s, P_s = steps[-1]
         if (times.size - 1) in wanted:
             out[times.size - 1] = (m_s[pos].copy(), P_s[np.ix_(pos, pos)].copy())
         for k in range(times.size - 2, -1, -1):
-            m_f, P_f = filtered[k]
-            A, Q = steps[k]
+            _, _, m_f, P_f = steps[k]
+            _, A, _, Q = steps[k + 1][0]
             m_pred, P_pred, AP = self._apply_transition(A, m_f, P_f)
             P_pred = P_pred + Q
             Lp, _ = chol_with_jitter(P_pred)
@@ -460,16 +460,16 @@ class StateSpaceGP:
 
     def fit(self, opts=None):
         """Maximize the filter likelihood; each step is one filter pass that
-        returns the value and its exact gradient."""
+        keeps its steps, then one backward sweep for the exact gradient."""
         opts = opts or optim.OptimizerOptions()
 
         def value_and_grad(theta):
             self.set_log_params(theta)
-            value, _, _, grad = self._filter(self.grid.times, self.grid.values, grad=True)
-            return value, grad
+            value, steps = self._filter(self.grid.times, self.grid.values, keep=True)
+            return value, self._gradient(steps)
 
         def value_only(theta):
-            # the same sweep without tangents: the same value, bit for bit
+            # the same sweep without keeping its steps: the same value, bit for bit
             self.set_log_params(theta)
             return self.log_marginal_likelihood()
 

@@ -165,6 +165,81 @@ def temporal_sde(temporal):
     return F, np.array([[0.0], [1.0]]), 4.0 * lam**3 * var, np.array([[1.0, 0.0]])
 
 
+def _kron_tangents(Ks, dKs, Pt, dPt):
+    """Tangents of Ks (x) Pt: dKs_i (x) Pt per spatial parameter, then
+    Ks (x) dPt_j per temporal one, as one (len(dKs) + 2, n, n) array."""
+    return np.stack([np.kron(dK, Pt) for dK in dKs] + [np.kron(Ks, d) for d in dPt])
+
+
+def tangent_gradient(model):
+    """(loglik, gradient) of a StateSpaceGP's filter likelihood by forward
+    mode: the Kalman recursion also carries dm/dθ and dP/dθ, one row per
+    parameter in `log_params` order, as (k + 4, n) and (k + 4, n, n) arrays
+    through every predict and update step (Sarkka 2013, ch. 12), with the
+    dense kernel tangents and explicit inverses of the innovation covariance."""
+    times, values = model.grid.times, model.grid.values
+    S = model.grid.coords.shape[0]
+    q = model.temporal.state_dim
+    n = S * q
+    pos = np.arange(S) * q
+    sigma2 = model.noise_variance
+    Ks, dKs = model.spatial_kernel.gram_and_grads(model.grid.coords)
+    Pinf, dPinf = model.temporal.stationary_cov_and_grads()
+    # tangent rows: spatial params, time variance, time lengthscale, noise,
+    # mean; the first k + 2 enter through Ks (x) P_inf and Ks (x) Q
+    k = len(dKs)
+    ell, noise, mean = k + 1, k + 2, k + 3
+    m, P = np.zeros(n), np.kron(Ks, Pinf)
+    dm, dP = np.zeros((k + 4, n)), np.zeros((k + 4, n, n))
+    dP[:k + 2] = _kron_tangents(Ks, dKs, Pinf, dPinf)
+    loglik, gradient = 0.0, np.zeros(k + 4)
+    I_S = np.eye(S)
+    for t in range(times.size):
+        if t > 0:
+            A, Qt, dA, dQt = model.temporal.transition_and_grads(float(times[t] - times[t - 1]))
+            AJ, dAJ = np.kron(I_S, A), np.kron(I_S, dA[1])
+            # the lengthscale moves A itself: d(A m) and d(A P A^T) gain
+            # dA m and dA P A^T + its transpose
+            cross = dAJ @ P @ AJ.T
+            dm = dm @ AJ.T
+            dm[ell] += dAJ @ m
+            dP = AJ @ dP @ AJ.T
+            dP[ell] += cross + cross.T
+            dP[:k + 2] += _kron_tangents(Ks, dKs, Qt, dQt)
+            m, P = AJ @ m, AJ @ P @ AJ.T + np.kron(Ks, Qt)
+        row = values[t]
+        obs = np.flatnonzero(~np.isnan(row))
+        if not obs.size:
+            continue
+        rows = pos[obs]
+        innovation = P[np.ix_(rows, rows)] + sigma2 * np.eye(obs.size)
+        Sinv = np.linalg.inv(innovation)
+        e = row[obs] - model.mean - m[rows]
+        G = Sinv @ P[rows]                     # S^-1 H P, the gain's transpose
+        alpha = Sinv @ e                       # S^-1 e
+        loglik += -0.5 * e @ alpha - 0.5 * np.linalg.slogdet(innovation)[1] \
+            - 0.5 * obs.size * LOG_2PI
+        # per parameter:
+        #   d loglik = -alpha.de + alpha.dS.alpha / 2 - tr(S^-1 dS) / 2
+        #   dm+ = dm + dP H^T alpha + G^T (de - dS alpha)
+        #   dP+ = dP - M - M^T, with M = G^T (H dP - dS G / 2)
+        B = dP[:, rows]                        # H dP
+        dS = B[:, :, rows]
+        dS[noise] += sigma2 * np.eye(obs.size)
+        de = -dm[:, rows]
+        de[mean] -= 1.0
+        dS_alpha = dS @ alpha
+        gradient += -de @ alpha + 0.5 * (dS_alpha @ alpha) \
+            - 0.5 * np.einsum("pab,ab->p", dS, Sinv)
+        dm = dm + alpha @ B + (de - dS_alpha) @ G
+        M = G.T @ (B - 0.5 * dS @ G)
+        dP = dP - M - M.transpose(0, 2, 1)
+        m = m + G.T @ e
+        P = P - P[:, rows] @ G
+        P = 0.5 * (P + P.T)
+    return float(loglik), gradient
+
+
 def filter_runtime(model, n_steps, repeats=2):
     """CPU seconds of this thread for one filter sweep over the first n_steps
     rows (best of repeats). Call it under single_threaded_blas(), so the

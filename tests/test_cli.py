@@ -501,6 +501,29 @@ def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, edit, named", [
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, budget="ten")]}, "benchmark.matrix[0].budget"),
+    ("benchmark", {"matrix": [MEAN_PREDICTOR, dict(MEAN_PREDICTOR, seeds=5)]},
+     "benchmark.matrix[1].seeds"),
+    ("benchmark", {"protocols": ["hindcast"]}, "benchmark.protocols"),
+    ("cleaning", {"remove_outliers": True, "scope": "bogus"}, "cleaning.scope"),
+    ("cleaning", {"mode": "median"}, "cleaning.mode"),
+], ids=["row-budget", "row-seeds", "protocol", "scope", "mode"])
+def test_benchmark_config_fails_before_loading_data(tmp_path, sensors, capsys,
+                                                    section, edit, named):
+    # every row and name is checked first: the error names its key, and no
+    # output directory is made
+    payload = {"data": {"sensors": str(sensors), "min_site_readings": 10},
+               "benchmark": {"matrix": [MEAN_PREDICTOR]}}
+    payload.setdefault(section, {}).update(edit)
+    config = write_config(tmp_path / "run.json", payload)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
 def test_benchmark_backend_filter_with_no_match_fails(tmp_path, sensors, capsys):
     config = benchmark_config(tmp_path, sensors)
     assert main(

@@ -6,7 +6,9 @@ from sensorgp import kernels, statespace
 from sensorgp.errors import InputError
 from sensorgp.exact_gp import GPModel
 from sensorgp.optim import OptimizerOptions
-from helpers import central_diff, filter_runtime, max_rel_err, separable_gram, temporal_sde
+from helpers import (
+    central_diff, filter_runtime, max_rel_err, separable_gram, tangent_gradient, temporal_sde,
+)
 
 
 def gp_for_series(temporal, t, y, noise, mean=0.0):
@@ -304,12 +306,12 @@ def test_smoothing_never_inflates_variance():
     m = statespace.StateSpaceGP(
         kernels.SquaredExponential(1.0, 0.7), "matern32", X, y, noise_variance=0.2
     )
-    _, filtered, _ = m._filter(m.grid.times, m.grid.values, collect=True)
+    _, steps = m._filter(m.grid.times, m.grid.values, keep=True)
     wanted = set(range(len(m.grid.times)))
     moments = m._smoothed_site_moments(m.grid.times, m.grid.values, wanted)
     pos = m._position_index(m.grid.coords.shape[0])
     for k, (ms, Ps) in moments.items():
-        Pf = filtered[k][1][np.ix_(pos, pos)]
+        Pf = steps[k][3][np.ix_(pos, pos)]
         assert np.all(np.diag(Ps) <= np.diag(Pf) + 1e-10)
 
 
@@ -361,6 +363,26 @@ def test_fit_gradient_matches_central_differences(monkeypatch, name, ard):
     assert value == lml(theta)
     assert grad.size == theta.size == spatial.n_params + 4
     assert max_rel_err(grad, central_diff(lml, theta)) < 1e-5
+
+
+@pytest.mark.parametrize("ard", [False, True], ids=["se", "ard-se"])
+@pytest.mark.parametrize("name", ["matern12", "matern32"])
+def test_reverse_pass_matches_dense_tangents(name, ard):
+    # irregular gaps and missing cells, plus a time step with no observation
+    # and a site that is never observed
+    X, y, *_ = separable_problem(S=4, T=30, seed=12, missing=0.3)
+    spatial = kernels.SquaredExponential(1.2, np.array([0.5, 0.9]) if ard else 0.6)
+    m = statespace.StateSpaceGP(
+        spatial, statespace.temporal_kernel(name, 1.1, 2.0), X, y,
+        noise_variance=0.3, mean=0.1,
+    )
+    m.grid.values[7] = np.nan
+    m.grid.values[:, 2] = np.nan
+    value, steps = m._filter(m.grid.times, m.grid.values, keep=True)
+    reference_value, reference = tangent_gradient(m)
+    assert value == m.log_marginal_likelihood()
+    assert value == pytest.approx(reference_value, rel=1e-12)
+    assert max_rel_err(m._gradient(steps), reference) < 1e-10
 
 
 def test_predict_builds_one_transition_per_distinct_gap(monkeypatch):
