@@ -8,6 +8,7 @@ reproducible: the same config and seeds give byte-identical CSVs.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields as dataclass_fields
@@ -310,13 +311,26 @@ def cmd_stats(args):
     return 0
 
 
+def _synth_overrides(raw):
+    """The `synth` section as SynthConfig overrides. Each value must have its
+    field's type (an int serves as a real, a bool as neither); `start` may
+    be an ISO string."""
+    section = dict(raw.get("synth", {}))
+    for f in dataclass_fields(data_mod.SynthConfig):
+        value = section.setdefault(f.name, f.default)
+        if f.type is datetime and isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                section[f.name] = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        kind = {float: (int, float)}.get(f.type, f.type)
+        if isinstance(value, bool) or not isinstance(section[f.name], kind):
+            raise ConfigError(
+                f"config key 'synth.{f.name}' must be {f.type.__name__}, got {value!r}")
+    return section
+
+
 def cmd_synth(args):
     raw = load_config(args.config) if args.config else {}
-    section = dict(raw.get("synth", {}))
-    if "start" in section and isinstance(section["start"], str):
-        section["start"] = datetime.fromisoformat(
-            section["start"].replace("Z", "+00:00")
-        )
+    section = _synth_overrides(raw)
     if args.seed is not None:
         section["seed"] = args.seed
     result = data_mod.synth_generate(**section)

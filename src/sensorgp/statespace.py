@@ -6,8 +6,10 @@ linear-Gaussian state-space model over the S sites jointly: the state
 stacks each site's temporal state (dimension q per site), the transition
 is I_S (x) A_t(dt), the process noise K_space (x) Q_t(dt), and the
 stationary prior K_space (x) P_inf. Kalman filtering then yields the
-exact marginal likelihood in O(T * S^3) instead of O((TS)^3), and the
-RTS smoother the exact posterior marginals.
+exact marginal likelihood in O(T * S^3) instead of O((TS)^3). The one
+backward sweep over the filter's steps gives both the likelihood's
+gradient and the exact posterior marginals: the smoothed moments are read
+off its adjoints, as in the modified Bryson-Frazier smoother (Bierman 1977).
 
 Off-grid sites never enter the filter; they are recovered afterwards
 from the smoothed per-time site values by the usual GP conditional,
@@ -27,13 +29,12 @@ from .kernels import from_config, to_config
 from .linalg import chol_rev, chol_solve, chol_with_jitter, single_threaded_blas, tri_solve
 
 
-def _sandwich(L, P, R, S, q):
-    """(I (x) L) P and (I (x) L) P (I (x) R)^T for P of shape (..., S q, S q),
-    without forming the krons: batched q x q products on the site blocks."""
-    lead, n = P.shape[:-2], S * q
-    half = (L @ P.reshape(lead + (S, q, n))).reshape(P.shape)
-    full = (half.reshape(lead + (n, S, q)) @ R.T).reshape(P.shape)
-    return half, full
+def _sandwich(L, P, S, q):
+    """(I (x) L) P (I (x) L)^T for P of shape (S q, S q), without forming the
+    krons: batched q x q products on the site blocks."""
+    n = S * q
+    half = (L @ P.reshape(S, q, n)).reshape(n, n)
+    return (half.reshape(n, S, q) @ L.T).reshape(n, n)
 
 
 class TemporalKernel:
@@ -294,26 +295,17 @@ class StateSpaceGP:
     def _position_index(self, n_sites):
         return np.arange(n_sites) * self.temporal.state_dim
 
-    def _apply_transition(self, A, m, P):
-        """(I (x) A) m, (I (x) A) P (I (x) A)^T and the half product (I (x) A) P,
-        without forming the kron."""
-        q = self.temporal.state_dim
-        S = m.size // q
-        m_new = (m.reshape(S, q) @ A.T).ravel()
-        half, P_new = _sandwich(A, P, A, S, q)
-        return m_new, P_new, half
-
     def _filter(self, times, values, keep=False):
         """Forward pass; returns (loglik, steps).
 
         With `keep`, `steps` holds one (transition, update, m, P) entry per
-        step for the backward sweeps (the smoother and `_gradient`): the
-        transition is (dt, A, Qt, Ks (x) Qt), one object per distinct gap and
-        None at the first step; the update is (rows, Ls, [W | v]), None where
-        nothing was observed; m, P are the filtered moments.
+        step for `_backward`: the transition is (dt, A, Qt, Ks (x) Qt), one
+        object per distinct gap and None at the first step; the update is
+        (rows, Ls, [W | v]), None where nothing was observed; m, P are the
+        filtered moments.
         """
-        S = self.grid.coords.shape[0]
-        n = S * self.temporal.state_dim
+        S, q = self.grid.coords.shape[0], self.temporal.state_dim
+        n = S * q
         pos = self._position_index(S)
         sigma2 = self.noise_variance
         Ks = self.spatial_kernel.gram(self.grid.coords)
@@ -334,8 +326,8 @@ class StateSpaceGP:
                     transitions[key] = (dt, A, Qt, np.kron(Ks, Qt))
                 transition = transitions[key]
                 _, A, _, Q = transition
-                m, P, _ = self._apply_transition(A, m, P)
-                P = P + Q
+                m = (m.reshape(S, q) @ A.T).ravel()
+                P = _sandwich(A, P, S, q) + Q
 
             row = values[t]
             obs = np.flatnonzero(~np.isnan(row))
@@ -360,24 +352,30 @@ class StateSpaceGP:
     def log_marginal_likelihood(self):
         return self._filter(self.grid.times, self.grid.values)[0]
 
-    def _gradient(self, steps):
-        """Exact gradient of the filter's log-likelihood in `log_params` order,
-        from the steps a `_filter(..., keep=True)` kept.
+    def _backward(self, steps, wanted=()):
+        """One reverse sweep over the steps a `_filter(..., keep=True)` kept.
 
-        One backward sweep carries the adjoints m̄, P̄ of the filtered moments
-        through each update, with `chol_rev` for the innovation factor (Murray
-        2016), and through each prediction by the matrix adjoint rules (Giles
-        2008), summing Ā and Q̄ per distinct gap. Only then are they mapped to
-        the parameters: the temporal ones through the transition and
-        stationary derivatives, the spatial ones through K̄s and one reverse
-        pass of the spatial kernel.
+        It carries m̄, P̄, the adjoints of step t's filtered moments, through
+        each update, with `chol_rev` for the innovation factor (Murray 2016),
+        and each prediction by the matrix adjoint rules (Giles 2008), summing
+        Ā and Q̄ per gap. The smoothed moments are m + P m̄ and
+        P + P (2 P̄ - m̄ m̄ᵀ) P (modified Bryson-Frazier, Bierman 1977): the
+        sweep records their site-value blocks at the `wanted` steps and stops
+        at the earliest of them, or at step 0. Returns (moments, gaps, P̄, noise
+        sum, mean sum), each gap a [transition, Ā, Q̄] list.
         """
         S, q = self.grid.coords.shape[0], self.temporal.state_dim
         n = S * q
+        pos = self._position_index(S)
         mbar, Pbar, noise_bar, mean_bar = np.zeros(n), np.zeros((n, n)), 0.0, 0.0
-        gaps = {}                       # id(transition) -> [transition, Ā, Q̄]
-        for t in range(len(steps) - 1, -1, -1):
-            transition, update, _, _ = steps[t]
+        moments, gaps = {}, {}          # gaps: id(transition) -> [transition, Ā, Q̄]
+        for t in range(len(steps) - 1, min(wanted, default=0) - 1, -1):
+            transition, update, m, P = steps[t]
+            if t in wanted:
+                Pp = P[pos]
+                g = Pp @ mbar
+                moments[t] = (m[pos] + g,
+                              Pp[:, pos] + 2.0 * (Pp @ Pbar) @ Pp.T - np.outer(g, g))
             if update is not None:
                 # m = m- + Wᵀv and P = P- - WᵀW, with loglik -v·v/2 - Σ log diag Ls
                 rows, Ls, Wv = update
@@ -406,13 +404,22 @@ class StateSpaceGP:
                     + 2.0 * (Pbar.reshape(S, q, n) @ AP).sum(axis=0)
                 entry[2] += Pbar
                 mbar = (mbar.reshape(S, q) @ A).ravel()
-                Pbar = _sandwich(A.T, Pbar, A.T, S, q)[1]
+                Pbar = _sandwich(A.T, Pbar, S, q)
+        return moments, gaps.values(), Pbar, noise_bar, mean_bar
 
+    def _gradient(self, steps):
+        """Exact gradient of the filter's log-likelihood in `log_params` order:
+        a full `_backward` sweep's sums mapped to the parameters, the temporal
+        ones through the transition and stationary derivatives, the spatial
+        ones through K̄s and one reverse pass of the spatial kernel.
+        """
+        S, q = self.grid.coords.shape[0], self.temporal.state_dim
+        _, gaps, Pbar, noise_bar, mean_bar = self._backward(steps)
         Ks, vjp = self.spatial_kernel.prepare(self.grid.coords).gram_and_vjp()
         time_bar, Ks_bar = np.zeros(2), np.zeros((S, S))
         # what is left in P̄ is the prior's, P0 = Ks (x) P_inf
         kron_adjoints = [(*self.temporal.stationary_cov_and_grads(), Pbar)]
-        for (dt, _, Qt, _), Abar, Qbar in gaps.values():
+        for (dt, _, Qt, _), Abar, Qbar in gaps:
             dA, dQt = self.temporal.transition_and_grads(dt)[2:]
             time_bar += np.einsum("pab,ab->p", dA, Abar)
             kron_adjoints.append((Qt, dQt, Qbar))
@@ -425,36 +432,11 @@ class StateSpaceGP:
         return np.concatenate([vjp(Ks_bar), time_bar, [noise_bar, mean_bar]])
 
     def _smoothed_site_moments(self, times, values, wanted):
-        """Smoothed mean/cov of the per-site function values at selected steps.
-
-        Runs the filter forward then the RTS recursion backward, keeping
-        only the position block (value component of every site's state) at
-        the steps listed in `wanted`. The backward pass inverts the
-        filter's own prediction steps: it reuses their transitions.
-        """
+        """Smoothed mean/cov of the per-site function values at the `wanted`
+        steps: the filter forward, then its backward sweep down to the
+        earliest of them."""
         _, steps = self._filter(times, values, keep=True)
-        S = self.grid.coords.shape[0]
-        pos = self._position_index(S)
-        wanted = set(int(w) for w in wanted)
-        out = {}
-
-        _, _, m_s, P_s = steps[-1]
-        if (times.size - 1) in wanted:
-            out[times.size - 1] = (m_s[pos].copy(), P_s[np.ix_(pos, pos)].copy())
-        for k in range(times.size - 2, -1, -1):
-            _, _, m_f, P_f = steps[k]
-            _, A, _, Q = steps[k + 1][0]
-            m_pred, P_pred, AP = self._apply_transition(A, m_f, P_f)
-            P_pred = P_pred + Q
-            Lp, _ = chol_with_jitter(P_pred)
-            # G = P_f A_joint^T P_pred^-1, built from its transpose
-            G = chol_solve(Lp, AP).T
-            m_s = m_f + G @ (m_s - m_pred)
-            P_s = P_f + G @ (P_s - P_pred) @ G.T
-            P_s = 0.5 * (P_s + P_s.T)
-            if k in wanted:
-                out[k] = (m_s[pos].copy(), P_s[np.ix_(pos, pos)].copy())
-        return out
+        return self._backward(steps, wanted)[0]
 
     # -- fitting ------------------------------------------------------------
 

@@ -110,6 +110,27 @@ def test_synth_without_config_uses_defaults(tmp_path):
     assert meta["rows_written"] > 40000
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sites", "ten"), ("days", 2.5), ("missing_rate", True), ("start", 5), ("start", "bogus"),
+])
+def test_synth_names_a_malformed_value(tmp_path, capsys, key, value):
+    config = write_config(tmp_path / "synth.json", {"synth": {"sites": 2, "days": 1, key: value}})
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 1
+    assert f"synth.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_accepts_an_integer_rate_and_a_yaml_datetime(tmp_path):
+    config = tmp_path / "synth.yaml"
+    config.write_text("synth: {sites: 2, days: 1, spike_rate: 0, start: 2021-11-02T00:00:00Z}\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 0
+    meta = json.loads((out / "synth_meta.json").read_text(encoding="utf-8"))
+    assert meta["spike_rate"] == 0 and meta["start"] == "2021-11-02T00:00:00+00:00"
+
+
 # an on-grid site at a training hour, and an off-grid site after the last hour
 TWO_QUERIES = (
     "site_id,latitude,longitude,timestamp\n"

@@ -258,6 +258,43 @@ def test_heldout_cell_matches_dense():
     assert p.latent_variance[0] == pytest.approx(var_d[0], abs=1e-6)
 
 
+def test_smoother_matches_dense_on_near_singular_spatial_gram():
+    # 65 sites in the unit square at SE lengthscale 0.5: cond(Ks) is about
+    # 2e17, so the transition's predicted covariance is singular to working
+    # precision; the smoothed means need no factor of it
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(0.0, 1.0, size=(65, 2))
+    X = np.array([[*c, t] for t in np.arange(20.0) for c in coords])
+    y = rng.standard_normal(len(X))
+    spatial = kernels.SquaredExponential(1.0, 0.5)
+    temporal = statespace.temporal_kernel("matern32", 1.0, 1.0)
+    assert np.linalg.cond(spatial.gram(coords)) > 1e17
+    m = statespace.StateSpaceGP(spatial, temporal, X, y, noise_variance=0.2, mean=0.0)
+    _, mean_d, _ = dense_reference(spatial, temporal, X, y, 0.2, 0.0, X)
+    np.testing.assert_allclose(m.predict(X).mean, mean_d, rtol=0, atol=1e-10)
+
+
+def test_forecast_factors_only_the_innovations(monkeypatch):
+    # on-grid queries after the last observed hour: one Cholesky per observed
+    # step (the filter's innovation), none for the backward sweep
+    X, y, coords, times = separable_problem(S=3, T=20, seed=14)
+    m = statespace.StateSpaceGP(
+        kernels.SquaredExponential(1.0, 0.7), "matern32", X, y, noise_variance=0.2
+    )
+    calls = []
+    factor = statespace.chol_with_jitter
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(statespace, "chol_with_jitter", counted)
+    Xq = np.array([[*coords[i], times[-1] + h] for h in (0.5, 1.0, 2.0) for i in range(3)])
+    m.predict(Xq)
+    observed = np.count_nonzero(~np.isnan(m.grid.values).all(axis=1))
+    assert len(calls) == observed
+
+
 # ---------------------------------------------------------------------------
 # structural behavior
 
