@@ -79,8 +79,8 @@ class ExperimentConfig:
     kernel_variance: float = 1.0
     kernel_lengthscale: float = 1.0
     optimize_inducing: bool = True
-    # folds at once, capped at usable_cores(): a fold thread beyond the
-    # cores only waits for the GIL and adds switching
+    # the most folds at once, capped at usable_cores(); the fold runner
+    # times a round on the pool and runs one at a time where it does not pay
     parallelism: int = 4
 
     def resolved(self, where=""):
@@ -173,6 +173,7 @@ class ExperimentReport:
     max_rmse: float
     pooled_rmse: float              # over all test points, then averaged over reps
     fold_seconds: dict = field(default_factory=dict)
+    fold_threads: int = 1           # folds at once after the runner's timed choice
     omitted_sites: list = field(default_factory=list)
 
 
@@ -259,10 +260,25 @@ def _run_folds(protocol, readings, config, folds):
     workers = min(config.parallelism, usable_cores(), len(folds))
     with linalg.single_threaded_blas():
         if workers == 1:
-            results = [run_fold(fold) for fold in folds]
+            results, threads = [run_fold(fold) for fold in folds], 1
         else:
+            # fits in LAPACK gain from the pool, fits of small numpy calls only
+            # trade the GIL on it: time a round of `workers` folds, then one
+            # fold alone (after the round, so the round pays the cold start),
+            # and run the rest alone unless the round beat `workers` lone folds
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_fold, folds))
+                def alone(batch):
+                    return [pool.submit(run_fold, fold).result() for fold in batch]
+
+                def at_once(batch):
+                    return list(pool.map(run_fold, batch))
+
+                start = time.perf_counter()
+                results = at_once(folds[:workers])
+                round_s = time.perf_counter() - start
+                lone = alone(folds[workers:workers + 1])     # its last field: its seconds
+                threads = 1 if lone and round_s >= workers * lone[0][-1] else workers
+                results += lone + (alone if threads == 1 else at_once)(folds[workers + 1:])
 
     names, scores, errors, trained, seconds = zip(*results)
     site_reps = {site: reps for fold in scores for site, reps in fold.items()}
@@ -281,6 +297,7 @@ def _run_folds(protocol, readings, config, folds):
             [_root_mean_square(np.concatenate(per_fold)) for per_fold in zip(*errors)]
         )),
         fold_seconds=dict(zip(names, seconds)),
+        fold_threads=threads,
         omitted_sites=sorted(set().union(*trained) - set(site_reps)),
     )
 
@@ -394,6 +411,7 @@ def report_json(reports):
             "per_site": r.per_site,
             "per_repetition": r.per_repetition,
             "fold_seconds": r.fold_seconds,
+            "fold_threads": r.fold_threads,
             "omitted_sites": r.omitted_sites,
         }
         for r in reports

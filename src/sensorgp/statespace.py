@@ -358,11 +358,12 @@ class StateSpaceGP:
         It carries m̄, P̄, the adjoints of step t's filtered moments, through
         each update, with `chol_rev` for the innovation factor (Murray 2016),
         and each prediction by the matrix adjoint rules (Giles 2008), summing
-        Ā and Q̄ per gap. The smoothed moments are m + P m̄ and
-        P + P (2 P̄ - m̄ m̄ᵀ) P (modified Bryson-Frazier, Bierman 1977): the
-        sweep records their site-value blocks at the `wanted` steps and stops
-        at the earliest of them, or at step 0. Returns (moments, gaps, P̄, noise
-        sum, mean sum), each gap a [transition, Ā, Q̄] list.
+        Ā and Q̄ per gap when no step is wanted. The smoothed moments are
+        m + P m̄ and P + P (2 P̄ - m̄ m̄ᵀ) P (modified Bryson-Frazier, Bierman
+        1977): the sweep records their site-value blocks at the `wanted`
+        steps and stops at the earliest of them, or at step 0. Returns
+        (moments, gaps, P̄, noise sum, mean sum), each gap a [transition, Ā, Q̄]
+        list.
         """
         S, q = self.grid.coords.shape[0], self.temporal.state_dim
         n = S * q
@@ -396,13 +397,14 @@ class StateSpaceGP:
             if transition is not None:
                 # m- = (I (x) A) m and P- = (I (x) A) P (I (x) A)ᵀ + Ks (x) Qt
                 A = transition[1]
-                _, _, m, P = steps[t - 1]
-                entry = gaps.setdefault(id(transition), [transition, 0.0, 0.0])
-                # Ā sums the diagonal site blocks of m̄ mᵀ + 2 P̄ (I (x) A) P
-                AP = (A @ P.reshape(S, q, n)).reshape(n, S, q).transpose(1, 0, 2)
-                entry[1] += mbar.reshape(S, q).T @ m.reshape(S, q) \
-                    + 2.0 * (Pbar.reshape(S, q, n) @ AP).sum(axis=0)
-                entry[2] += Pbar
+                if not wanted:          # only the gradient's sweep sums the gaps
+                    _, _, m, P = steps[t - 1]
+                    entry = gaps.setdefault(id(transition), [transition, 0.0, 0.0])
+                    # Ā sums the diagonal site blocks of m̄ mᵀ + 2 P̄ (I (x) A) P
+                    AP = (A @ P.reshape(S, q, n)).reshape(n, S, q).transpose(1, 0, 2)
+                    entry[1] += mbar.reshape(S, q).T @ m.reshape(S, q) \
+                        + 2.0 * (Pbar.reshape(S, q, n) @ AP).sum(axis=0)
+                    entry[2] += Pbar
                 mbar = (mbar.reshape(S, q) @ A).ravel()
                 Pbar = _sandwich(A.T, Pbar, S, q)
         return moments, gaps.values(), Pbar, noise_bar, mean_bar

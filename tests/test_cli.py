@@ -427,6 +427,7 @@ def test_benchmark_runs_matrix_and_is_deterministic(tmp_path, sensors):
         blob = json.loads(path.read_text(encoding="utf-8"))
         for report in blob["reports"]:
             report.pop("fold_seconds")  # wall-clock timing, run-dependent
+            report.pop("fold_threads")  # chosen by timing a round, run-dependent
         return blob
 
     assert scrub(out1 / "reports.json") == scrub(out2 / "reports.json")

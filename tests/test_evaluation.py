@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -454,6 +455,80 @@ def test_forecast_fold_runs_on_the_calling_thread(monkeypatch):
     report = ev.forecast_holdout(table(runner_readings()), config)
     assert set(report.per_site) == {"a", "b"}
     assert idents == [threading.get_ident()] * 2
+
+
+class FakeClock:
+    """The runner's `time.perf_counter`: it moves only when a fake fit moves it."""
+
+    def __init__(self):
+        self.now, self.lock = 0.0, threading.Lock()
+
+    def perf_counter(self):
+        return self.now
+
+    def advance(self, seconds):
+        with self.lock:
+            self.now += seconds
+
+
+@pytest.mark.parametrize(
+    "round_cost, threads",
+    [(0.5, 2), (1.0, 1), (2.0, 1)],
+    ids=["round-faster", "round-level", "round-slower"],
+)
+def test_fold_runner_keeps_the_faster_way(monkeypatch, round_cost, threads):
+    # on two fold threads, s0 and s1 make the timed round and s2 runs alone
+    # after it for one clock second; s3-s5 run the way the round chose
+    clock = FakeClock()
+    monkeypatch.setattr(ev, "time", SimpleNamespace(perf_counter=clock.perf_counter))
+    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+    rest = ["s3", "s4", "s5"]
+    submitted, s3_awaited = [], threading.Event()
+
+    class WatchedPool(ev.ThreadPoolExecutor):
+        """Notes each fold it is handed, and when its caller first waits for s3."""
+
+        def submit(self, fn, fold):
+            future = super().submit(fn, fold)
+            submitted.append(fold[0])
+            if fold[0] == "s3":
+                result = future.result
+                future.result = lambda *a: s3_awaited.set() or result(*a)
+            return future
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", WatchedPool)
+    held_with_s3 = []
+    # s3 and s4 meet only if they run at once; the timeout only ends a failing run
+    meet = threading.Barrier(2, timeout=30)
+
+    def fake_fit(train, test, config, seed):
+        site = test.site[0]
+        if site == "s3":
+            # once the runner waits for s3, it has handed the pool every rest
+            # fold it means to run alongside s3
+            s3_awaited.wait(timeout=30)
+            held_with_s3.extend(s for s in submitted if s in rest)
+        if threads == 2 and site in ("s3", "s4"):
+            meet.wait()
+        clock.advance(round_cost if site in ("s0", "s1") else 1.0)
+        return known_means(train, test, config, seed)
+
+    monkeypatch.setattr(ev, "_fit_and_predict", fake_fit)
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4})
+    report = ev.nowcast_loo(table(wavy_sites(n_sites=6)), config)
+    sites = [f"s{i}" for i in range(6)]
+    assert report.fold_threads == threads
+    assert held_with_s3 == (rest if threads == 2 else ["s3"])
+    assert list(report.fold_seconds) == sites and list(report.per_site) == sites
+    assert report.fold_seconds["s2"] == 1.0           # the lone fold's own clock time
+
+
+def test_fold_threads_reaches_reports_json(monkeypatch):
+    monkeypatch.setattr(ev, "_fit_and_predict", known_means)
+    report = ev.forecast_holdout(table(runner_readings()),
+                                 ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4}))
+    assert report.fold_threads == 1
+    assert ev.report_json([report])[0]["fold_threads"] == 1
 
 
 # ---------------------------------------------------------------------------
