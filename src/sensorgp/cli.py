@@ -77,48 +77,36 @@ def load_config(path):
     return raw
 
 
-def _row_config(entries, cleaning):
-    merged = dict(entries)
-    if "clean_outliers" not in merged and cleaning.get("remove_outliers"):
-        merged["clean_outliers"] = True
-    return _with_fences(eval_mod.ExperimentConfig(**merged), cleaning)
+def _cleaning(raw):
+    """The `cleaning` section, checked: whether a row cleans unless it says,
+    and the outlier-fence fields it sets on every row."""
+    section = raw.get("cleaning", {})
+
+    def value(key, default, kind, choices=None):
+        return eval_mod.config_value(section.get(key, default), kind, f"cleaning.{key}",
+                                     choices=choices)
+
+    fences = {
+        "outlier_factor": value("factor", 1.5, float),
+        "outlier_scope": value("scope", "per-site", str, data_mod.OUTLIER_SCOPES),
+        "outlier_mode": value("mode", "tukey", str, data_mod.OUTLIER_MODES),
+    }
+    return value("remove_outliers", False, bool), fences
 
 
-def _config_number(value, key, kind):
-    """`kind(value)`, or a ConfigError naming the config key it came from."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
-
-
-def _cleaning_choice(cleaning, key, default, choices):
-    """The `cleaning` section's `key` if it is one of `choices`, else a ConfigError."""
-    value = cleaning.get(key, default)
-    if value not in choices:
-        raise ConfigError(f"config key 'cleaning.{key}' must be one of {choices}, got {value!r}")
-    return value
-
-
-def _with_fences(config, cleaning):
-    """The config with the outlier-fence settings of the `cleaning` section."""
-    return replace(
-        config,
-        outlier_factor=_config_number(cleaning.get("factor", 1.5), "cleaning.factor", float),
-        outlier_scope=_cleaning_choice(cleaning, "scope", "per-site", data_mod.OUTLIER_SCOPES),
-        outlier_mode=_cleaning_choice(cleaning, "mode", "tukey", data_mod.OUTLIER_MODES),
-    )
+def _row_config(entries, remove, fences):
+    return eval_mod.ExperimentConfig(**{"clean_outliers": remove, **entries, **fences})
 
 
 def _build_matrix(raw, overrides):
     """Every matrix row resolved and checked, so a bad row fails before any data loads."""
-    cleaning = raw.get("cleaning", {})
+    remove, fences = _cleaning(raw)
     matrix = raw.get("benchmark", {}).get("matrix", "default")
     if matrix in (None, "default"):
-        configs = [_with_fences(c, cleaning).resolved() for c in eval_mod.default_matrix()]
+        configs = [replace(c, **fences).resolved() for c in eval_mod.default_matrix()]
     elif isinstance(matrix, list):
         configs = [
-            _row_config(row, cleaning).resolved(f"benchmark.matrix[{i}].")
+            _row_config(row, remove, fences).resolved(f"benchmark.matrix[{i}].")
             for i, row in enumerate(matrix)
         ]
     else:
@@ -135,8 +123,8 @@ def _load_readings(raw, need_covariates):
     sensors = section.get("sensors")
     if not sensors:
         raise ConfigError("config key 'data.sensors' is required for this command")
-    min_count = _config_number(
-        section.get("min_site_readings", 100), "data.min_site_readings", int
+    min_count = eval_mod.config_value(
+        section.get("min_site_readings", 100), int, "data.min_site_readings", low=1
     )
     readings, report = data_mod.load_sensor_csv(sensors)
     readings, dropped = data_mod.drop_sparse_sites(readings, min_count)
@@ -227,16 +215,13 @@ def _single_config(raw, overrides):
     experiment = dict(raw.get("experiment", {}))
     if overrides.backend:
         experiment["backend"] = overrides.backend
-    cleaning = raw.get("cleaning", {})
-    return _row_config(experiment, cleaning).resolved("experiment.")
+    return _row_config(experiment, *_cleaning(raw)).resolved("experiment.")
 
 
 def cmd_fit(args):
     raw = load_config(args.config)
     config = _single_config(raw, args)
-    seed = args.seed
-    if seed is None:
-        seed = _config_number(raw.get("seed", 0), "seed", int)
+    seed = _seed_flag(args, eval_mod.config_value(raw.get("seed", 0), int, "seed", low=0))
     readings, _ = _load_readings(raw, config.additional_inputs)
     readings = eval_mod._clean_training(readings, config)
     dataset = data_mod.build_dataset(
@@ -311,28 +296,32 @@ def cmd_stats(args):
     return 0
 
 
+def _seed_flag(args, seed):
+    """The --seed flag where it is given, checked by name, else `seed`."""
+    if args.seed is None:
+        return seed
+    return eval_mod.config_value(args.seed, int, "--seed", low=0)
+
+
 def _synth_overrides(raw):
-    """The `synth` section as SynthConfig overrides. Each value must have its
-    field's type (an int serves as a real, a bool as neither); `start` may
-    be an ISO string."""
+    """The `synth` section as SynthConfig overrides, each value checked
+    against its field's type (counts positive, the seed not negative);
+    `start` may be an ISO string."""
     section = dict(raw.get("synth", {}))
     for f in dataclass_fields(data_mod.SynthConfig):
-        value = section.setdefault(f.name, f.default)
+        value = section.get(f.name, f.default)
         if f.type is datetime and isinstance(value, str):
             with contextlib.suppress(ValueError):
-                section[f.name] = datetime.fromisoformat(value.replace("Z", "+00:00"))
-        kind = {float: (int, float)}.get(f.type, f.type)
-        if isinstance(value, bool) or not isinstance(section[f.name], kind):
-            raise ConfigError(
-                f"config key 'synth.{f.name}' must be {f.type.__name__}, got {value!r}")
+                value = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        low = (0 if f.name == "seed" else 1) if f.type is int else None
+        section[f.name] = eval_mod.config_value(value, f.type, f"synth.{f.name}", low=low)
     return section
 
 
 def cmd_synth(args):
     raw = load_config(args.config) if args.config else {}
     section = _synth_overrides(raw)
-    if args.seed is not None:
-        section["seed"] = args.seed
+    section["seed"] = _seed_flag(args, section["seed"])
     result = data_mod.synth_generate(**section)
 
     out = _out_dir(raw, args)

@@ -14,17 +14,18 @@ Outlier cleaning is applied to training folds only; test targets are
 never touched.
 """
 
+import contextlib
 import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import kernels as kernels_mod
-from . import linalg, model_io
+from . import linalg, model_io, statespace
 from .errors import ConfigError, InputError, ProtocolError
 from .optim import OptimizerOptions
 
@@ -45,14 +46,38 @@ def _root_mean_square(errors):
     return float(np.sqrt(np.mean(errors ** 2)))
 
 
-_POSITIVE_INTEGERS = ("repetitions", "budget", "subsample", "n_inducing", "batch_size",
-                      "parallelism")
-_NUMBERS = ("learning_rate", "outlier_factor", "noise_variance", "kernel_variance",
-            "kernel_lengthscale")
+_KINDS = {int: numbers.Integral, float: numbers.Real}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_INTEGER_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
 
 
-def _is_number(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool)
+def config_value(value, kind, key, low=None, choices=None):
+    """`value` if it has the type `kind` its config field declares, is at
+    least `low` (an integer bound) and is one of `choices`, where given;
+    otherwise a ConfigError naming `key`. An int field needs an integer, a
+    float field takes any real number, a bool is never a number, and
+    nothing is coerced."""
+    what = _INTEGER_BOUNDS[low] if low is not None else _KIND_NAMES.get(kind, kind.__name__)
+    typed = isinstance(value, _KINDS.get(kind, kind)) and (
+        kind is bool or not isinstance(value, bool)
+    )
+    if not typed or (low is not None and value < low):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key} must be one of {tuple(choices)}, got {value!r}")
+    return value
+
+
+_CHOICES = {"temporal": statespace.TEMPORAL_KERNELS, "outlier_scope": data_mod.OUTLIER_SCOPES,
+            "outlier_mode": data_mod.OUTLIER_MODES}
+
+
+def _seeds(seeds, where):
+    """A row's seeds as a tuple of non-negative integers."""
+    if isinstance(seeds, (list, tuple)):
+        with contextlib.suppress(ConfigError):
+            return tuple(int(config_value(seed, int, "seed", low=0)) for seed in seeds)
+    raise ConfigError(f"{where}seeds must be integers >= 0, got {seeds!r}")
 
 
 @dataclass
@@ -87,42 +112,33 @@ class ExperimentConfig:
         """Fill defaults, validate, and return a fully concrete copy. Error
         messages name each key after `where`, the config path of the row."""
         cfg = replace(self)
-        cls = model_io.BACKENDS.get(cfg.backend)
-        if cls is None:
-            raise ConfigError(f"unknown {where}backend {cfg.backend!r} "
-                              f"(expected one of {tuple(model_io.BACKENDS)})")
-        if cls.spatial_only and (cfg.periodic or cfg.additional_inputs):
-            key = "periodic" if cfg.periodic else "additional_inputs"
-            raise ConfigError(f"{where}{key}: the {cfg.backend} backend supports neither "
-                              "periodic kernels nor additional input columns")
+        cls = model_io.BACKENDS[
+            config_value(cfg.backend, str, f"{where}backend", choices=model_io.BACKENDS)
+        ]
         if cfg.seeds is not None:
-            if not isinstance(cfg.seeds, (list, tuple)) or not all(
-                _is_number(seed, numbers.Integral) for seed in cfg.seeds
-            ):
-                raise ConfigError(f"{where}seeds must be integers, got {cfg.seeds!r}")
-            cfg.seeds = tuple(int(seed) for seed in cfg.seeds)
+            cfg.seeds = _seeds(cfg.seeds, where)
         if cfg.repetitions is None:
             cfg.repetitions = cls.repetitions if cfg.seeds is None else len(cfg.seeds)
         if cfg.budget is None:
             cfg.budget = cls.budget
-        for key in _POSITIVE_INTEGERS:
-            value = getattr(cfg, key)
-            if not _is_number(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{where}{key} must be a positive integer, got {value!r}")
-        for key in _NUMBERS:      # their ranges are checked where they are used
-            value = getattr(cfg, key)
-            if not _is_number(value, numbers.Real):
-                raise ConfigError(f"{where}{key} must be a number, got {value!r}")
+        if cfg.name is None:
+            tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
+                    "inputs": cfg.additional_inputs}
+            cfg.name = "-".join([cfg.backend] + [tag for tag, on in tags.items() if on])
+        for f in fields(cfg):     # the ranges of float fields are checked where they are used
+            if f.name != "seeds":
+                config_value(getattr(cfg, f.name), f.type, where + f.name,
+                             low=1 if f.type is int else None, choices=_CHOICES.get(f.name))
         if cfg.seeds is None:
             cfg.seeds = tuple(range(1, cfg.repetitions + 1))
         if len(cfg.seeds) != cfg.repetitions:
             raise ConfigError(
                 f"{where}seeds: got {len(cfg.seeds)} seeds for {cfg.repetitions} repetitions"
             )
-        if cfg.name is None:
-            tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
-                    "inputs": cfg.additional_inputs}
-            cfg.name = "-".join([cfg.backend] + [tag for tag, on in tags.items() if on])
+        if cls.spatial_only and (cfg.periodic or cfg.additional_inputs):
+            key = "periodic" if cfg.periodic else "additional_inputs"
+            raise ConfigError(f"{where}{key}: the {cfg.backend} backend supports neither "
+                              "periodic kernels nor additional input columns")
         return cfg
 
     def optimizer_options(self, seed):

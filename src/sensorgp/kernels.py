@@ -15,9 +15,9 @@ pair once. Both usual bases are squared distances of an embedding f(x),
 no ``(d, n, m)`` difference array: an SE uses f = x, and a fixed-period
 leaf f = ½(cos 2πx/p, sin 2πx/p), whose squared distance is the summed
 ``sin^2(π(x - x')/p)`` (MacKay 1998). Under ARD an SE keeps one squared
-difference block per column, and a learned period the raw differences,
-because their gradients need them. A self-Gram's base is exactly
-symmetric with a zero diagonal, and a diagonal's base is zeros.
+difference block per column, because its gradients need them. A
+self-Gram's base is exactly symmetric with a zero diagonal, and a
+diagonal's base is zeros.
 
 Every leaf is ``v·exp(Σ a·B)`` over its base terms B, and its derivatives
 are ``dK/dθ_p = K ∘ c_p M_p``. A product of leaves is one such term,
@@ -153,8 +153,8 @@ class PreparedInputs:
     reverse pass. So the next call on the same instance overwrites the
     previous call's K and tape, and the previous vjp is void; copy K to keep
     it. Warm passes over sums and products of leaves then allocate no array
-    of K's size (a learned period's sin² terms and the factors of a product
-    over a sum are still computed fresh).
+    of K's size (the factors of a product over a sum are still computed
+    fresh).
     """
 
     def __init__(self, kernel, X, X2, paired):
@@ -183,12 +183,12 @@ class PreparedInputs:
 
 
 def _exponential(pairs, out=None, scratch=None):
-    """(Π v)·exp(Σ a·B) for (leaf, aux) pairs: every leaf's exponent terms
+    """(Π v)·exp(Σ a·B) for (leaf, base) pairs: every leaf's exponent terms
     summed in order into `out`, each after the first through `scratch`
     (fresh arrays where None), then one exp and the variances."""
     K = None
-    for leaf, aux in pairs:
-        for a, B in leaf._exponent(aux):
+    for leaf, base in pairs:
+        for a, B in leaf._exponent(base):
             if K is None:
                 K = np.multiply(B, a, out=out)
             else:
@@ -200,18 +200,18 @@ def _exponential(pairs, out=None, scratch=None):
 
 def _exponential_gram(leaves, X, X2, paired):
     """_exponential without a tape, leaf by leaf: each leaf's base is built,
-    scaled in place into the sum and dropped, aux and all, before the next
-    leaf's is built. The same operations in the same order as a prepared
-    forward pass, so the same bits."""
+    scaled in place into the sum and dropped before the next leaf's is
+    built. The same operations in the same order as a prepared forward
+    pass, so the same bits."""
     K = None
     for leaf in leaves:
-        aux = leaf._aux(leaf._base(X, X2, paired))
-        for a, B in leaf._exponent(aux):
+        base = leaf._base(X, X2, paired)
+        for a, B in leaf._exponent(base):
             if K is None:
                 K = B * a
             else:
                 K += np.multiply(B, a, out=B)    # the walk owns the base
-        del aux, B
+        del base, B
     np.exp(K, out=K)
     K *= math.prod(leaf.variance for leaf in leaves)
     return K
@@ -226,13 +226,13 @@ def _exponential_reverse(pairs, K, Kbar, inputs, scratch):
     total = None
     grads = []
     X, X2, Xbar = inputs or (None, None, None)
-    for leaf, aux in pairs:
+    for leaf, base in pairs:
         if inputs is not None:
             columns = slice(None) if leaf.dims is None else leaf.dims
             Xbar[:, columns] += leaf._input_adjoint(
-                W, aux, leaf._columns(X), leaf._columns(X2)
+                W, base, leaf._columns(X), leaf._columns(X2)
             )
-        for c, M in leaf._factors(aux):
+        for c, M in leaf._factors(base):
             if M is None:
                 total = W.sum() if total is None else total
                 grads.append(c * total)
@@ -245,8 +245,8 @@ def _exponential_tangents(pairs, K):
     """The dense dK/dθ_p = K ∘ c_p M_p of the same term, one per parameter."""
     return [
         K * c if M is None else K * M * c
-        for leaf, aux in pairs
-        for c, M in leaf._factors(aux)
+        for leaf, base in pairs
+        for c, M in leaf._factors(base)
     ]
 
 
@@ -254,7 +254,7 @@ class Kernel:
     """Base class for kernel expression trees.
 
     A node implements ``_base(X, X2, paired)``, ``_forward(base, prev=None,
-    scratch=None) -> (K, aux)`` (the pair is its tape; ``prev``, the node's
+    scratch=None) -> (K, terms)`` (the pair is its tape; ``prev``, the node's
     tape from the last pass over the same base, lends its output array),
     ``_reverse(tape, Kbar, inputs=None, scratch=None)`` and
     ``_tangents(tape)``, which return one entry per parameter (given
@@ -342,12 +342,11 @@ class Kernel:
 class _Leaf(Kernel):
     """A leaf v·exp(Σ a·B), whose derivatives are dK/dθ_p = K ∘ c_p M_p.
 
-    `_aux(base)` gives the terms at the current parameters (the base itself
-    unless a learned period needs its sin² terms); `_exponent(aux)` yields
-    the (a, B) terms of the exponent, and `_factors(aux)` one (c_p, M_p) per
-    parameter, M_p None standing for all ones; the passes share them with a
-    product of leaves, which is one such term. `_column_base` and
-    `_input_adjoint` (X̄ from W = K̄ ∘ K) see only `dims`.
+    `_exponent(base)` yields the (a, B) terms of the exponent, and
+    `_factors(base)` one (c_p, M_p) per parameter, M_p None standing for all
+    ones; the passes share them with a product of leaves, which is one such
+    term. `_column_base` and `_input_adjoint` (X̄ from W = K̄ ∘ K) see only
+    `dims`.
     """
 
     @property
@@ -375,23 +374,19 @@ class _Leaf(Kernel):
     def _dims_repr(self):
         return "" if self.dims is None else f", dims={self.dims}"
 
-    def _aux(self, base):
-        return base
-
     def _value(self, X, X2, paired):
         return _exponential_gram([self], X, X2, paired)
 
     def _forward(self, base, prev=None, scratch=None):
-        aux = self._aux(base)
-        return _exponential([(self, aux)], None if prev is None else prev[0], scratch), aux
+        return _exponential([(self, base)], None if prev is None else prev[0], scratch), base
 
     def _reverse(self, tape, Kbar, inputs=None, scratch=None):
-        K, aux = tape
-        return _exponential_reverse([(self, aux)], K, Kbar, inputs, scratch)
+        K, base = tape
+        return _exponential_reverse([(self, base)], K, Kbar, inputs, scratch)
 
     def _tangents(self, tape):
-        K, aux = tape
-        return _exponential_tangents([(self, aux)], K)
+        K, base = tape
+        return _exponential_tangents([(self, base)], K)
 
 
 class SquaredExponential(_Leaf):
@@ -434,7 +429,7 @@ class SquaredExponential(_Leaf):
         yield 1.0, None
         yield from zip(np.atleast_1d(self.lengthscale) ** -2.0, base)
 
-    def _input_adjoint(self, W, aux, X, X2):
+    def _input_adjoint(self, W, base, X, X2):
         # Σ_j W_ij (x2_j - x_i) / ℓ², per column under ARD
         return (W @ X2 - W.sum(axis=1)[:, None] * X) / np.atleast_1d(self.lengthscale) ** 2
 
@@ -462,19 +457,15 @@ class SquaredExponential(_Leaf):
 class Periodic(_Leaf):
     """k(x, x') = variance * exp(-2 sum_k sin^2(pi (x_k - x'_k) / period) / lengthscale^2).
 
-    The period is held fixed by default (daily and weekly periods are known a
-    priori), and the base is the sum of sin^2 terms, the squared distance of
-    the rows' cos/sin embeddings, which it keeps for the input adjoint; pass
-    learn_period=True to expose the period to the optimizer, and the base is
-    the raw differences.
+    The period is held fixed (daily and weekly periods are known a priori),
+    and the base is the sum of sin^2 terms, the squared distance of the rows'
+    cos/sin embeddings, which it keeps for the input adjoint.
     """
 
-    def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, learn_period=False,
-                 dims=None):
+    def __init__(self, variance=1.0, lengthscale=1.0, period=1.0, dims=None):
         self.log_variance = _log_positive("periodic", "variance", variance)
         self.log_lengthscale = _log_positive("periodic", "lengthscale", lengthscale)
         self.log_period = _log_positive("periodic", "period", period)
-        self.learn_period = bool(learn_period)
         self.dims = _check_dims(dims)
 
     @property
@@ -485,14 +476,6 @@ class Periodic(_Leaf):
     def period(self):
         return float(np.exp(self.log_period))
 
-    def _sin2(self, diff):
-        """pi * diff / period, and the sum of its sin^2 over the columns."""
-        u = np.pi * diff
-        u /= self.period
-        sin2 = np.sin(u)
-        sin2 *= sin2
-        return u, np.sum(sin2, axis=-1)
-
     def _embedding(self, X):
         """½ (cos a, sin a) with a = 2πX/period: the squared distance of two
         rows' embeddings is the sum of sin^2(π (x_k - x'_k) / period)."""
@@ -501,57 +484,36 @@ class Periodic(_Leaf):
 
     def _column_base(self, X, X2, paired):
         if paired:    # the diagonal: every difference is zero
-            return np.zeros_like(X) if self.learn_period else (np.zeros(len(X)),)
-        if self.learn_period:
-            return X[:, None, :] - X2[None, :, :]
+            return (np.zeros(len(X)),)
         F = self._embedding(X)
         F2 = F if X2 is X else self._embedding(X2)
         return _sqdist(F, F2), F, F2
 
-    def _aux(self, base):
-        if self.learn_period:
-            u, s = self._sin2(base)
-            return s, base, u
-        return base
+    def _exponent(self, base):
+        yield -2.0 / self.lengthscale**2, base[0]
 
-    def _exponent(self, aux):
-        yield -2.0 / self.lengthscale**2, aux[0]
-
-    def _factors(self, aux):
-        ell2 = self.lengthscale**2
+    def _factors(self, base):
         yield 1.0, None
-        yield 4.0 / ell2, aux[0]
-        if self.learn_period:
-            _, diff, u = aux
-            yield 2.0 * np.pi / (ell2 * self.period), np.sum(diff * np.sin(2.0 * u), axis=-1)
+        yield 4.0 / self.lengthscale**2, base[0]
 
-    def _input_adjoint(self, W, aux, X, X2):
-        # dK/dx = K * coeff * sin 2u, with 2u = a - b for a = 2πx/p, b = 2πx2/p
-        coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
-        if self.learn_period:
-            return coeff * np.einsum("ij,ijc->ic", W, np.sin(2.0 * aux[2]))
+    def _input_adjoint(self, W, base, X, X2):
+        # dK/dx = K * coeff * sin(a - b) for a = 2πx/p, b = 2πx2/p, and
         # sin(a - b) = sin a cos b - cos a sin b, with cos and sin from the
         # embeddings, which hold half of each
-        _, F, F2 = aux
+        coeff = -2.0 * np.pi / (self.lengthscale**2 * self.period)
+        _, F, F2 = base
         d = X.shape[1]
         WF2 = W @ F2
         return (4.0 * coeff) * (F[:, d:] * WF2[:, :d] - F[:, :d] * WF2[:, d:])
 
     def _get_params(self):
-        params = [self.log_variance, self.log_lengthscale]
-        if self.learn_period:
-            params.append(self.log_period)
-        return params
+        return [self.log_variance, self.log_lengthscale]
 
     def _set_params(self, values):
-        self.log_variance = values[0]
-        self.log_lengthscale = values[1]
-        if self.learn_period:
-            self.log_period = values[2]
+        self.log_variance, self.log_lengthscale = values
 
     def _names(self):
-        names = ["periodic.log_variance", "periodic.log_lengthscale"]
-        return names + ["periodic.log_period"] if self.learn_period else names
+        return ["periodic.log_variance", "periodic.log_lengthscale"]
 
     def __repr__(self):
         return (
@@ -676,21 +638,20 @@ class Product(_Combination):
     def _forward(self, base, prev=None, scratch=None):
         if not self._fused:
             return super()._forward(base, prev, scratch)
-        auxes = [child._aux(b) for child, b in zip(self.children, base)]
         out = None if prev is None else prev[0]
-        return _exponential(list(zip(self.children, auxes)), out, scratch), auxes
+        return _exponential(list(zip(self.children, base)), out, scratch), base
 
     def _reverse(self, tape, Kbar, inputs=None, scratch=None):
         if not self._fused:
             return super()._reverse(tape, Kbar, inputs, scratch)
-        K, auxes = tape
-        return _exponential_reverse(list(zip(self.children, auxes)), K, Kbar, inputs, scratch)
+        K, base = tape
+        return _exponential_reverse(list(zip(self.children, base)), K, Kbar, inputs, scratch)
 
     def _tangents(self, tape):
         if not self._fused:
             return super()._tangents(tape)
-        K, auxes = tape
-        return _exponential_tangents(list(zip(self.children, auxes)), K)
+        K, base = tape
+        return _exponential_tangents(list(zip(self.children, base)), K)
 
     def _weights(self, Ks):
         # the product of the other factors, from prefix and suffix products
@@ -738,7 +699,7 @@ def ActiveDims(dims, kernel):
 
 _LEAF_KEYS = {
     "se": {"dims", "variance", "lengthscale", "ard"},
-    "periodic": {"dims", "variance", "lengthscale", "period", "learn_period"},
+    "periodic": {"dims", "variance", "lengthscale", "period"},
 }
 
 
@@ -767,9 +728,8 @@ def from_config(node, n_dims=None):
     unknown = set(body) - _LEAF_KEYS[kind]
     if unknown:
         raise InputError(f"unknown key '{sorted(unknown)[0]}' in '{kind}' kernel config")
-    for flag in body.keys() & {"ard", "learn_period"}:
-        if not isinstance(body[flag], bool):
-            raise InputError(f"{kind} kernel {flag} must be true or false, got {body[flag]!r}")
+    if not isinstance(body.get("ard", False), bool):
+        raise InputError(f"{kind} kernel ard must be true or false, got {body['ard']!r}")
     dims = body["dims"] = _check_dims(body.get("dims"))
     if kind == "periodic":
         return Periodic(**body)
@@ -804,8 +764,6 @@ def to_config(kernel):
             "lengthscale": kernel.lengthscale,
             "period": kernel.period,
         }
-        if kernel.learn_period:
-            body["learn_period"] = True
     else:
         raise InputError(f"cannot serialize kernel of type {type(kernel)}")
     if kernel.dims is not None:

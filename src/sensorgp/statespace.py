@@ -165,7 +165,6 @@ class SiteGrid:
     coords: np.ndarray     # (S, 2)
     times: np.ndarray      # (T,), strictly increasing
     values: np.ndarray     # (T, S), NaN where unobserved
-    duplicates_averaged: int = 0
 
 
 def grid_from_arrays(X, y):
@@ -186,8 +185,7 @@ def grid_from_arrays(X, y):
     np.add.at(count, (time_idx, site_idx), 1.0)
     with np.errstate(invalid="ignore"):
         values = np.where(count > 0, total / np.maximum(count, 1.0), np.nan)
-    duplicates = int(y.size - np.count_nonzero(count))
-    return SiteGrid(coords, times, values, duplicates)
+    return SiteGrid(coords, times, values)
 
 
 class StateSpaceGP:

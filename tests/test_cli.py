@@ -506,15 +506,19 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 
 @pytest.mark.parametrize("command, section, key, value", [
     ("stats", "data", "min_site_readings", "lots"),
+    ("stats", "data", "min_site_readings", 2.7),
     ("benchmark", "cleaning", "factor", "big"),
     ("fit", "experiment", "budget", "ten"),
+    ("fit", "experiment", "periodic", "no"),
+    ("fit", None, "seed", "3"),
 ])
 def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
                                             command, section, key, value):
+    # nothing is coerced: 2.7 is not truncated, "3" is not a number
     payload = {"data": {"sensors": str(sensors), "min_site_readings": 10},
                "experiment": dict(MEAN_PREDICTOR),
                "benchmark": {"matrix": [MEAN_PREDICTOR]}}
-    payload.setdefault(section, {})[key] = value
+    (payload if section is None else payload.setdefault(section, {}))[key] = value
     config = write_config(tmp_path / "run.json", payload)
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out-dir", str(out)]) == 1
@@ -530,7 +534,19 @@ def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
     ("benchmark", {"protocols": ["hindcast"]}, "benchmark.protocols"),
     ("cleaning", {"remove_outliers": True, "scope": "bogus"}, "cleaning.scope"),
     ("cleaning", {"mode": "median"}, "cleaning.mode"),
-], ids=["row-budget", "row-seeds", "protocol", "scope", "mode"])
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, periodic="no")]},
+     "benchmark.matrix[0].periodic"),
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, clean_outliers="false")]},
+     "benchmark.matrix[0].clean_outliers"),
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, additional_inputs="yes")]},
+     "benchmark.matrix[0].additional_inputs"),
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, backend="svgp", optimize_inducing="no")]},
+     "benchmark.matrix[0].optimize_inducing"),
+    ("cleaning", {"remove_outliers": "false"}, "cleaning.remove_outliers"),
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, backend="statespace", temporal="matern52")]},
+     "benchmark.matrix[0].temporal"),
+], ids=["row-budget", "row-seeds", "protocol", "scope", "mode", "periodic-flag", "clean-flag",
+        "inputs-flag", "inducing-flag", "remove-flag", "temporal"])
 def test_benchmark_config_fails_before_loading_data(tmp_path, sensors, capsys,
                                                     section, edit, named):
     # every row and name is checked first: the error names its key, and no
@@ -543,6 +559,25 @@ def test_benchmark_config_fails_before_loading_data(tmp_path, sensors, capsys,
     assert main(["benchmark", "--config", str(config), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edit, flags, named", [
+    ("benchmark", {"benchmark": {"matrix": [dict(MEAN_PREDICTOR, backend="svgp", seeds=[-1])]}},
+     [], "benchmark.matrix[0].seeds"),
+    ("fit", {"seed": -1}, [], "seed"),
+    ("fit", {}, ["--seed", "-1"], "--seed"),
+    ("synth", {"synth": {"sites": 2, "days": 1, "seed": -1}}, [], "synth.seed"),
+    ("synth", {"synth": {"sites": 2, "days": 1}}, ["--seed", "-1"], "--seed"),
+], ids=["row", "fit-config", "fit-flag", "synth-config", "synth-flag"])
+def test_negative_seeds_are_named(tmp_path, sensors, capsys, command, edit, flags, named):
+    payload = {"data": {"sensors": str(sensors), "min_site_readings": 10},
+               "experiment": dict(MEAN_PREDICTOR), **edit}
+    config = write_config(tmp_path / "run.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out-dir", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{named} must be" in err and "-1" in err
     assert not out.exists()
 
 

@@ -94,6 +94,15 @@ def test_config_validation_errors():
                 ev.ExperimentConfig(**{key: bad}).resolved()
     with pytest.raises(ConfigError, match="seeds must be integers"):
         ev.ExperimentConfig(seeds=("one",)).resolved()
+    for key in ("periodic", "clean_outliers", "additional_inputs", "optimize_inducing"):
+        for bad in ("no", "false", 0, 1, None):
+            with pytest.raises(ConfigError, match=f"{key} must be true or false"):
+                ev.ExperimentConfig(**{key: bad}).resolved()
+    with pytest.raises(ConfigError, match="temporal must be one of"):
+        ev.ExperimentConfig(backend="statespace", temporal="matern52").resolved()
+    for bad in ((-1,), (1.0,), (True,), 5):
+        with pytest.raises(ConfigError, match="seeds must be integers"):
+            ev.ExperimentConfig(seeds=bad).resolved()
     assert ev.ExperimentConfig(learning_rate=1, seeds=[np.int64(3)]).resolved().seeds == (3,)
 
 

@@ -83,14 +83,14 @@ def test_gradient_matches_finite_differences():
     np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-6)
 
 
-def test_gradient_matches_finite_differences_ard_and_learned_period():
+def test_gradient_matches_finite_differences_ard_and_periodic():
     # the first gradient prepares the training inputs and later ones reuse
-    # them, so a base that kept the period it was built with fails here
+    # them, so a base that kept the hyperparameters it was built with fails here
     rng = np.random.default_rng(21)
     X = rng.normal(size=(12, 3))
     y = rng.normal(size=12)
     k = kernels.ActiveDims([0, 1], kernels.SquaredExponential(1.2, [0.8, 1.5])) + (
-        kernels.ActiveDims([2], kernels.Periodic(0.7, 1.1, 2.0, learn_period=True))
+        kernels.ActiveDims([2], kernels.Periodic(0.7, 1.1, 2.0))
     )
     m = GPModel(k, X, y, noise_variance=0.2, mean=0.1)
     m.grad_log_marginal_likelihood()
@@ -103,8 +103,8 @@ def test_gradient_matches_finite_differences_ard_and_learned_period():
         return m.log_marginal_likelihood()
 
     fd = central_diff(f, theta0, step=1e-5)
-    assert "periodic.log_period" in m.param_names()[5]
-    assert abs(fd[5]) > 1e-3
+    assert "periodic.log_lengthscale" in m.param_names()[4]
+    assert abs(fd[4]) > 1e-3
     np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-6)
 
 

@@ -277,14 +277,11 @@ def test_fd_gradients_random_hypers(seed):
     fd_check_hypers(k, X)
 
 
-def test_fd_gradients_ard_and_learned_period():
+def test_fd_gradients_ard():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(6, 2))
     k = kernels.SquaredExponential(1.1, [0.7, 1.9])
     fd_check_hypers(k, X)
-    kp = kernels.Periodic(1.0, 0.9, 3.3, learn_period=True)
-    assert kp.n_params == 3
-    fd_check_hypers(kp, X[:, :1])
 
 
 def test_product_gradient_uses_product_rule():
@@ -342,22 +339,20 @@ positive = st.floats(0.3, 3.0)
 
 @st.composite
 def leaves(draw):
-    """An SE, ARD SE or periodic leaf (period fixed or learned), on all input
-    columns or on a subset chosen by ActiveDims."""
+    """An SE, ARD SE or periodic leaf, on all input columns or on a subset
+    chosen by ActiveDims."""
     dims = draw(st.lists(st.integers(0, WIDTH - 1), min_size=1, max_size=WIDTH, unique=True))
     wrap = draw(st.booleans())
     if not wrap:
         dims = list(range(WIDTH))
-    kind = draw(st.sampled_from(["se", "ard", "periodic", "learned-period"]))
+    kind = draw(st.sampled_from(["se", "ard", "periodic"]))
     variance, lengthscale = draw(positive), draw(positive)
     if kind == "se":
         leaf = kernels.SquaredExponential(variance, lengthscale)
     elif kind == "ard":
         leaf = kernels.SquaredExponential(variance, [draw(positive) for _ in dims])
     else:
-        leaf = kernels.Periodic(
-            variance, lengthscale, draw(st.floats(0.5, 5.0)), kind == "learned-period"
-        )
+        leaf = kernels.Periodic(variance, lengthscale, draw(st.floats(0.5, 5.0)))
     return kernels.ActiveDims(dims, leaf) if wrap else leaf
 
 
@@ -433,11 +428,9 @@ def input_adjoint(kernel, X, X2, Kbar):
         lambda rng: kernels.SquaredExponential(1.1, [0.8, 1.3], dims=[2, 0])
         * kernels.Periodic(0.9, 1.2, 3.0, dims=[2])
         + kernels.SquaredExponential(0.7, 1.4, dims=[1, 2]),
-        lambda rng: kernels.Periodic(1.2, 0.9, 2.5, learn_period=True, dims=[0, 2])
-        * kernels.SquaredExponential(0.8, 1.1, dims=[1]),
         lambda rng: kernels.SquaredExponential(1.3, rng.uniform(0.5, 2.0, size=3)),
     ],
-    ids=["random-tree", "one-factor-product", "overlapping-dims", "learned-period", "ard"],
+    ids=["random-tree", "one-factor-product", "overlapping-dims", "ard"],
 )
 def test_grad_x_finite_difference(make_kernel):
     rng = np.random.default_rng(14)
@@ -659,9 +652,10 @@ def test_config_errors_name_the_problem():
         ({"se": {"lengthscale": None}}, "se kernel lengthscale"),
         ({"periodic": {"variance": float("nan")}}, "periodic kernel variance"),
         ({"se": {"ard": "yes", "dims": [0]}}, "se kernel ard"),
+        ({"periodic": {"learn_period": True}}, "unknown key 'learn_period'"),
     ],
     ids=["body-not-mapping", "string-variance", "list-period", "null-lengthscale",
-         "nan-variance", "string-flag"],
+         "nan-variance", "string-flag", "learned-period"],
 )
 def test_config_values_fail_with_a_named_error(node, named):
     with pytest.raises(InputError, match=named):

@@ -142,14 +142,12 @@ def test_grid_from_arrays_shapes_and_missing():
     assert grid.coords.shape == (2, 2)
     assert grid.times.tolist() == [0.0, 1.0]
     assert np.isnan(grid.values[1, 1])  # site 1 unobserved at t=1
-    assert grid.duplicates_averaged == 0
 
 
 def test_grid_averages_duplicates():
     X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     grid = statespace.grid_from_arrays(X, np.array([1.0, 3.0]))
     assert grid.values[0, 0] == pytest.approx(2.0)
-    assert grid.duplicates_averaged == 1
 
 
 def test_grid_needs_three_columns():
