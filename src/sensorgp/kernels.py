@@ -478,8 +478,10 @@ class Periodic(_Leaf):
 
     def _embedding(self, X):
         """½ (cos a, sin a) with a = 2πX/period: the squared distance of two
-        rows' embeddings is the sum of sin^2(π (x_k - x'_k) / period)."""
-        a = (2.0 * np.pi / self.period) * X
+        rows' embeddings is the sum of sin^2(π (x_k - x'_k) / period). The
+        remainder of X by the period is exact, so the angle's rounding error
+        stays within a few ulps of 2π however many periods X spans."""
+        a = (2.0 * np.pi / self.period) * np.fmod(X, self.period)
         return 0.5 * np.hstack([np.cos(a), np.sin(a)])
 
     def _column_base(self, X, X2, paired):

@@ -451,6 +451,18 @@ def test_grad_x_zero_at_coincident_points_for_se():
     np.testing.assert_allclose(k.grad_x(X, X, np.ones((1, 1))), 0.0, atol=1e-14)
 
 
+def test_periodic_sees_only_the_phase():
+    # inputs on a dyadic grid, so adding whole periods of 0.75 is exact: the
+    # Gram and the input adjoint thousands of periods on keep every bit
+    rng = np.random.default_rng(21)
+    k = kernels.Periodic(1.3, 0.4, 0.75)
+    X, X2 = rng.integers(0, 48, size=(4, 2)) / 64, rng.integers(0, 48, size=(5, 2)) / 64
+    Kbar = rng.normal(size=(4, 5))
+    far, far2 = X + 0.75 * 4096, X2 + 0.75 * 1000
+    assert np.array_equal(k.gram(far, far2), k.gram(X, X2))
+    assert np.array_equal(input_adjoint(k, far, far2, Kbar), input_adjoint(k, X, X2, Kbar))
+
+
 def test_diagonal_has_no_input_adjoint():
     _, vjp = kernels.SquaredExponential().prepare_diag(np.zeros((3, 2))).gram_and_vjp()
     with pytest.raises(InputError, match="input adjoint"):
