@@ -23,7 +23,7 @@ def main():
 
     shared = dict(
         backend="exact", budget=80, learning_rate=0.05, subsample=400,
-        repetitions=1, seeds=(1,), parallelism=4,
+        repetitions=1, seeds=(1,),
     )
     matrix = [
         ExperimentConfig(name="base", periodic=False, **shared),

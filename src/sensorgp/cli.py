@@ -104,13 +104,13 @@ def _build_matrix(raw, overrides):
     matrix = raw.get("benchmark", {}).get("matrix", "default")
     if matrix in (None, "default"):
         configs = [replace(c, **fences).resolved() for c in eval_mod.default_matrix()]
-    elif isinstance(matrix, list):
+    elif isinstance(matrix, list) and matrix:
         configs = [
             _row_config(row, remove, fences).resolved(f"benchmark.matrix[{i}].")
             for i, row in enumerate(matrix)
         ]
     else:
-        raise ConfigError("benchmark.matrix must be 'default' or a list of rows")
+        raise ConfigError("benchmark.matrix must be 'default' or a non-empty list of rows")
     if overrides.backend:
         configs = [c for c in configs if c.backend == overrides.backend]
         if not configs:

@@ -4,11 +4,12 @@ Two protocols: nowcasting (leave one site out, predict it from the
 others over the whole period) and forecasting (hold out the final 24
 hours everywhere). Each protocol only lists its folds, as a name and a
 held-out mask: one per site for nowcasting, one named "all" for
-forecasting. One fold runner does the rest: it trains each fold on the
-readings outside the mask, once per seed, and reports per-site RMSE in
-original units with min/average/max summaries, where "average" is the
-unweighted mean over sites of the per-site values (a pooled-over-points
-RMSE is reported alongside).
+forecasting. One fold runner does the rest: it runs the folds one at a
+time on the calling thread, in listed order and with BLAS on one thread.
+It trains each fold on the readings outside the mask, once per seed, and
+reports per-site RMSE in original units with min/average/max summaries,
+where "average" is the unweighted mean over sites of the per-site values
+(a pooled-over-points RMSE is reported alongside).
 
 Outlier cleaning is applied to training folds only; test targets are
 never touched.
@@ -16,9 +17,7 @@ never touched.
 
 import contextlib
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -104,9 +103,6 @@ class ExperimentConfig:
     kernel_variance: float = 1.0
     kernel_lengthscale: float = 1.0
     optimize_inducing: bool = True
-    # the most folds at once, capped at usable_cores(); the fold runner
-    # times a round on the pool and runs one at a time where it does not pay
-    parallelism: int = 4
 
     def resolved(self, where=""):
         """Fill defaults, validate, and return a fully concrete copy. Error
@@ -189,7 +185,6 @@ class ExperimentReport:
     max_rmse: float
     pooled_rmse: float              # over all test points, then averaged over reps
     fold_seconds: dict = field(default_factory=dict)
-    fold_threads: int = 1           # folds at once after the runner's timed choice
     omitted_sites: list = field(default_factory=list)
 
 
@@ -234,14 +229,6 @@ def _fit_and_predict(train, test, config, seed):
     return dataset.decode_targets(prediction.mean)
 
 
-def usable_cores():
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_folds(protocol, readings, config, folds):
     """Score a resolved config on each `(name, held-out mask)` fold.
 
@@ -270,31 +257,9 @@ def _run_folds(protocol, readings, config, folds):
         trained = set(train.site.tolist())
         return name, scores, errors, trained, time.perf_counter() - start
 
-    # the fits' small matrices gain nothing from BLAS threads; the folds get
-    # the cores, and no more threads than cores or folds. One fold thread is
-    # the calling thread.
-    workers = min(config.parallelism, usable_cores(), len(folds))
+    # the fits' small matrices gain nothing from BLAS threads
     with linalg.single_threaded_blas():
-        if workers == 1:
-            results, threads = [run_fold(fold) for fold in folds], 1
-        else:
-            # fits in LAPACK gain from the pool, fits of small numpy calls only
-            # trade the GIL on it: time a round of `workers` folds, then one
-            # fold alone (after the round, so the round pays the cold start),
-            # and run the rest alone unless the round beat `workers` lone folds
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                def alone(batch):
-                    return [pool.submit(run_fold, fold).result() for fold in batch]
-
-                def at_once(batch):
-                    return list(pool.map(run_fold, batch))
-
-                start = time.perf_counter()
-                results = at_once(folds[:workers])
-                round_s = time.perf_counter() - start
-                lone = alone(folds[workers:workers + 1])     # its last field: its seconds
-                threads = 1 if lone and round_s >= workers * lone[0][-1] else workers
-                results += lone + (alone if threads == 1 else at_once)(folds[workers + 1:])
+        results = [run_fold(fold) for fold in folds]
 
     names, scores, errors, trained, seconds = zip(*results)
     site_reps = {site: reps for fold in scores for site, reps in fold.items()}
@@ -313,7 +278,6 @@ def _run_folds(protocol, readings, config, folds):
             [_root_mean_square(np.concatenate(per_fold)) for per_fold in zip(*errors)]
         )),
         fold_seconds=dict(zip(names, seconds)),
-        fold_threads=threads,
         omitted_sites=sorted(set().union(*trained) - set(site_reps)),
     )
 
@@ -427,7 +391,6 @@ def report_json(reports):
             "per_site": r.per_site,
             "per_repetition": r.per_repetition,
             "fold_seconds": r.fold_seconds,
-            "fold_threads": r.fold_threads,
             "omitted_sites": r.omitted_sites,
         }
         for r in reports

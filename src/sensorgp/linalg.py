@@ -204,10 +204,10 @@ def single_threaded_blas():
 
     The kernel, Cholesky and Kalman matrices here are too small to gain from
     BLAS threads, and results would depend on the thread count, so every fit
-    (optim.maximize) and every backend's predict runs inside this pin, and
-    cores go to caller-level parallelism: the nowcast fold pool, where its
-    timed first round shows that it pays. The thread count is process-wide,
-    so the pin is too: entries nest and may come from any thread. The
+    (optim.maximize) and every backend's predict runs inside this pin. A
+    caller wanting more cores busy runs fits side by side, on its own
+    threads or in separate processes. The thread count is process-wide, so
+    the pin is too: entries nest and may come from any thread. The
     outermost entry saves the counts and sets them to one, and the last exit
     restores them, also when the block raises. Without a loaded OpenBLAS
     exporting a known setter (MKL, Accelerate, non-Linux) this does nothing.

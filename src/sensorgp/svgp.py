@@ -216,6 +216,15 @@ class SVGPModel:
             self._cache = (L, jitter)
         return self._cache
 
+    def _marginals(self, A, C, kdiag):
+        """(U, mean, variance) of q(f) from A = L⁻¹K_zx, with U = CᵀA for the
+        gradient. Callers solve for A themselves, so that an (m, n) K_zx they
+        do not keep is freed before U is formed."""
+        U = C.T @ A
+        mu = self.mean + A.T @ self._m_w
+        var = kdiag - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
+        return U, mu, var
+
     def elbo(self, batch=None):
         """Evidence lower bound; a batch of indices gives the unbiased estimate."""
         idx = np.arange(self.X.shape[0]) if batch is None else np.asarray(batch)
@@ -223,11 +232,8 @@ class SVGPModel:
         Xb, yb = self.X[idx], self.y[idx]
         L, _ = self._chol_zz()
         C = self.variational_cov_factor()
-
         A = tri_solve(L, self.kernel.gram(self.Z, Xb))
-        U = C.T @ A
-        mu = self.mean + A.T @ self._m_w
-        var = self.kernel.diag(Xb) - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
+        _, mu, var = self._marginals(A, C, self.kernel.diag(Xb))
         sigma2 = self.noise_variance
         fit = scale * np.sum(
             -0.5 * (LOG_2PI + math.log(sigma2)) - ((yb - mu) ** 2 + var) / (2.0 * sigma2)
@@ -249,11 +255,8 @@ class SVGPModel:
         Kzx, zx_vjp = self.kernel.prepare(self.Z, Xb).gram_and_vjp()
         kdiag, diag_vjp = self.kernel.prepare_diag(Xb).gram_and_vjp()
         C = self.variational_cov_factor()
-
         A = tri_solve(L, Kzx)
-        U = C.T @ A
-        mu = self.mean + A.T @ self._m_w
-        var = kdiag - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
+        U, mu, var = self._marginals(A, C, kdiag)
         sigma2 = self.noise_variance
         resid = yb - mu
         fit = scale * np.sum(
@@ -368,8 +371,6 @@ class SVGPModel:
         L, _ = self._chol_zz()
         C = self.variational_cov_factor()
         A = tri_solve(L, self.kernel.gram(self.Z, Xq))
-        U = C.T @ A
-        mean = self.mean + A.T @ self._m_w
-        latent = self.kernel.diag(Xq) - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
+        _, mean, latent = self._marginals(A, C, self.kernel.diag(Xq))
         latent = np.maximum(latent, 0.0)
         return PosteriorPrediction(mean, latent, latent + self.noise_variance)

@@ -7,8 +7,7 @@ It generates a `synth` network (5 sites x 3 days, seed 11) plus a 96-hour
 weather CSV, runs `benchmark --protocol both` over exact, exact
 periodic+cleaned+inputs, SVGP and state-space rows, then `fit` and
 `predict` for each backend and `stats`. Every output lands under OUT_DIR
-with no timing fields (`fold_seconds` and `fold_threads`, which the fold
-runner picks by timing, are dropped from `reports.json`) and
+with no timing fields (`fold_seconds` is dropped from `reports.json`) and
 no absolute paths, so two checkouts can be compared with `diff -r`.
 The whole run takes a few minutes on one core.
 
@@ -105,7 +104,6 @@ def main(out):
     doc = json.loads(reports.read_text())
     for report in doc["reports"]:
         report.pop("fold_seconds")
-        report.pop("fold_threads")
     write_json(reports, doc)
 
     (out / "queries.csv").write_text(QUERIES)

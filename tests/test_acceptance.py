@@ -296,7 +296,7 @@ def test_synthetic_forecast_ordering():
 
     shared = dict(
         backend="exact", subsample=700, budget=250, learning_rate=0.05,
-        repetitions=4, seeds=(1, 2, 3, 4), parallelism=4,
+        repetitions=4, seeds=(1, 2, 3, 4),
     )
     rows = [
         eval_mod.ExperimentConfig(name="base", periodic=False, **shared),
@@ -383,7 +383,6 @@ def test_benchmark_reports_are_reproducible(tmp_path):
                         {
                             "backend": "exact", "name": "tiny", "periodic": True,
                             "budget": 40, "repetitions": 2, "seeds": [1, 2],
-                            "parallelism": 2,
                         }
                     ]
                 },

@@ -48,7 +48,6 @@ MEAN_PREDICTOR = {
     "learning_rate": 1e-9,
     "repetitions": 1,
     "seeds": [1],
-    "parallelism": 1,
 }
 
 
@@ -385,12 +384,14 @@ def test_unknown_config_keys_are_named(tmp_path, capsys):
     assert main(["benchmark", "--config", str(nested)]) == 1
     assert "cleaning.facto" in capsys.readouterr().err
 
-    row = write_config(
-        tmp_path / "row.json",
-        {"benchmark": {"matrix": [{"backend": "exact", "budge": 3}]}},
-    )
-    assert main(["benchmark", "--config", str(row)]) == 1
-    assert "benchmark.matrix[0].budge" in capsys.readouterr().err
+    # a misspelt key, and `parallelism`: folds run one at a time, so no key sets how many
+    for key in ("budge", "parallelism"):
+        row = write_config(
+            tmp_path / "row.json",
+            {"benchmark": {"matrix": [{"backend": "exact", key: 3}]}},
+        )
+        assert main(["benchmark", "--config", str(row)]) == 1
+        assert f"unknown config key 'benchmark.matrix[0].{key}'" in capsys.readouterr().err
 
 
 def test_yaml_config_parses(tmp_path, capsys):
@@ -427,7 +428,6 @@ def test_benchmark_runs_matrix_and_is_deterministic(tmp_path, sensors):
         blob = json.loads(path.read_text(encoding="utf-8"))
         for report in blob["reports"]:
             report.pop("fold_seconds")  # wall-clock timing, run-dependent
-            report.pop("fold_threads")  # chosen by timing a round, run-dependent
         return blob
 
     assert scrub(out1 / "reports.json") == scrub(out2 / "reports.json")
@@ -545,8 +545,9 @@ def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
     ("cleaning", {"remove_outliers": "false"}, "cleaning.remove_outliers"),
     ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, backend="statespace", temporal="matern52")]},
      "benchmark.matrix[0].temporal"),
+    ("benchmark", {"matrix": []}, "benchmark.matrix must be"),
 ], ids=["row-budget", "row-seeds", "protocol", "scope", "mode", "periodic-flag", "clean-flag",
-        "inputs-flag", "inducing-flag", "remove-flag", "temporal"])
+        "inputs-flag", "inducing-flag", "remove-flag", "temporal", "empty-matrix"])
 def test_benchmark_config_fails_before_loading_data(tmp_path, sensors, capsys,
                                                     section, edit, named):
     # every row and name is checked first: the error names its key, and no

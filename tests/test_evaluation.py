@@ -1,7 +1,5 @@
 import math
 import threading
-import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ MEAN_PREDICTOR = dict(
     learning_rate=1e-9,
     repetitions=1,
     seeds=(1,),
-    parallelism=1,
 )
 
 
@@ -80,9 +77,6 @@ def test_config_validation_errors():
         ev.ExperimentConfig(repetitions=2, seeds=(1, 2, 3)).resolved()
     with pytest.raises(ConfigError, match="3 seeds for 1 repetitions"):
         ev.ExperimentConfig(backend="svgp", repetitions=1, seeds=(1, 2, 3)).resolved()
-    for bad in (0, -3, True, False, "4", 2.0, None):
-        with pytest.raises(ConfigError, match="parallelism must be a positive integer"):
-            ev.ExperimentConfig(parallelism=bad).resolved()
     for key in ("budget", "subsample", "n_inducing", "batch_size"):
         for bad in (0, "ten", 2.5, True):
             with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
@@ -205,96 +199,10 @@ def test_nowcast_duplicate_site_noiseless():
         readings.append(mk("b", 0.30, 32.50, h, v))
     cfg = ev.ExperimentConfig(
         backend="exact", periodic=True, repetitions=1, seeds=(1,),
-        budget=200, learning_rate=0.1, parallelism=2,
+        budget=200, learning_rate=0.1,
     )
     report = ev.nowcast_loo(table(readings), cfg)
     assert report.max_rmse <= 0.5
-
-
-def wavy_sites(n_sites=4, n_hours=48):
-    return [
-        mk(f"s{i}", 0.30 + 0.02 * i, 32.50 + 0.03 * i, h,
-           30.0 + 5.0 * i + 8.0 * math.sin(2 * math.pi * (h + 3 * i) / 24.0))
-        for i in range(n_sites)
-        for h in range(n_hours)
-    ]
-
-
-# SVGP fits on the fold threads run the shared optimizer loop on minibatches
-SMALL_SVGP = dict(
-    backend="svgp", n_inducing=6, batch_size=32, budget=80, learning_rate=0.05,
-    repetitions=1, seeds=(2,), parallelism=1,
-)
-
-
-SMALL_STATESPACE = dict(
-    backend="statespace", budget=5, repetitions=1, seeds=(1,), parallelism=1,
-)
-
-
-@pytest.mark.parametrize(
-    "readings, config",
-    [(two_constant_sites, MEAN_PREDICTOR), (wavy_sites, SMALL_SVGP),
-     (wavy_sites, SMALL_STATESPACE)],
-    ids=["exact-mean", "svgp", "statespace"],
-)
-def test_nowcast_parallelism_does_not_change_results(monkeypatch, readings, config):
-    readings = readings()
-    r1 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**config))
-    monkeypatch.setattr(ev, "usable_cores", lambda: 4)   # four threads on any box
-    r4 = ev.nowcast_loo(table(readings), ev.ExperimentConfig(**{**config, "parallelism": 4}))
-    assert len(r1.per_site) > 1
-    assert r1.per_site == r4.per_site
-    assert r1.avg_rmse == r4.avg_rmse
-
-
-def record_fold_threads(monkeypatch):
-    """The thread of every `_fit_and_predict` call, and the most calls ever running at once."""
-    idents, running, peak = [], [0], [0]
-    lock = threading.Lock()
-    fit_and_predict = ev._fit_and_predict
-
-    def recording(*args):
-        with lock:
-            idents.append(threading.get_ident())
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        time.sleep(0.02)                     # hold the fold so that others overlap it
-        try:
-            return fit_and_predict(*args)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(ev, "_fit_and_predict", recording)
-    return idents, peak
-
-
-def test_nowcast_pool_never_outgrows_the_cores(monkeypatch):
-    idents, peak = record_fold_threads(monkeypatch)
-    monkeypatch.setattr(ev, "usable_cores", lambda: 1)
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4})
-    report = ev.nowcast_loo(table(wavy_sites()), config)
-    assert len(report.per_site) == 4
-    assert len(idents) == 4 and len(set(idents)) == 1 and peak[0] == 1
-
-
-def test_nowcast_pool_never_outgrows_parallelism(monkeypatch):
-    idents, peak = record_fold_threads(monkeypatch)
-    monkeypatch.setattr(ev, "usable_cores", lambda: 3)
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
-    report = ev.nowcast_loo(table(wavy_sites(n_sites=6)), config)
-    assert len(report.per_site) == 6
-    assert len(idents) == 6 and len(set(idents)) <= 2 and peak[0] <= 2
-
-
-def test_usable_cores_counts_the_affinity_set(monkeypatch):
-    assert ev.usable_cores() >= 1
-    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: {0, 5, 7})
-    assert ev.usable_cores() == 3
-    monkeypatch.delattr(ev.os, "sched_getaffinity")
-    monkeypatch.setattr(ev.os, "cpu_count", lambda: None)
-    assert ev.usable_cores() == 1
 
 
 @pytest.fixture()
@@ -327,8 +235,7 @@ def record_threads_per_fit(monkeypatch, threads):
 
 def test_nowcast_folds_run_on_one_blas_thread(monkeypatch, fake_blas):
     seen = record_threads_per_fit(monkeypatch, fake_blas)
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 2})
-    report = ev.nowcast_loo(table(two_constant_sites()), config)
+    report = ev.nowcast_loo(table(two_constant_sites()), ev.ExperimentConfig(**MEAN_PREDICTOR))
     assert set(report.per_site) == {"a", "b"}
     assert seen == [{"numpy": 1, "scipy": 1}] * 2
     assert fake_blas == {"numpy": 2, "scipy": 3}
@@ -376,23 +283,6 @@ def test_library_fits_and_predicts_run_on_one_blas_thread(monkeypatch, fake_blas
         assert fake_blas == {"numpy": 2, "scipy": 3}
 
 
-def test_nowcast_results_do_not_depend_on_the_pool(monkeypatch):
-    # the program's own outputs: one fold thread or two, run twice, same bits
-    monkeypatch.setattr(ev, "usable_cores", lambda: 2)    # two threads on any box
-    readings = synth_generate(sites=4, days=2, seed=3).readings
-    config = dict(backend="svgp", n_inducing=5, batch_size=16, budget=12,
-                  repetitions=1, seeds=(2,))
-    serial = ev.nowcast_loo(readings, ev.ExperimentConfig(**config, parallelism=1))
-    pooled = [
-        ev.nowcast_loo(readings, ev.ExperimentConfig(**config, parallelism=2))
-        for _ in range(2)
-    ]
-    assert len(serial.per_site) == 4
-    for report in pooled:
-        assert report.per_site == serial.per_site
-        assert report.pooled_rmse == serial.pooled_rmse
-
-
 # ---------------------------------------------------------------------------
 # the fold runner both protocols share
 
@@ -418,14 +308,11 @@ def by_hand(values, seed):
     return math.sqrt(sum((seed / 10.0 * v) ** 2 for v in values) / len(values))
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("protocol", ["nowcast", "forecast"])
-def test_fold_runner_scores_known_means(monkeypatch, protocol, parallelism):
+def test_fold_runner_scores_known_means(monkeypatch, protocol):
     monkeypatch.setattr(ev, "_fit_and_predict", known_means)
-    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
     rows = runner_readings()
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2),
-                                    "parallelism": parallelism})
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2)})
     run = ev.nowcast_loo if protocol == "nowcast" else ev.forecast_holdout
     report = run(table(rows), config)
 
@@ -450,94 +337,21 @@ def test_fold_runner_scores_known_means(monkeypatch, protocol, parallelism):
         assert report.omitted_sites == ["c"]
 
 
-def test_forecast_fold_runs_on_the_calling_thread(monkeypatch):
-    idents = []
+@pytest.mark.parametrize("protocol", ["nowcast", "forecast"])
+def test_fold_runner_runs_folds_on_the_calling_thread(monkeypatch, protocol):
+    calls = []
 
     def recording(train, test, config, seed):
-        idents.append(threading.get_ident())
+        calls.append((threading.get_ident(), sorted(set(test.site.tolist())), seed))
         return known_means(train, test, config, seed)
 
     monkeypatch.setattr(ev, "_fit_and_predict", recording)
-    monkeypatch.setattr(ev, "usable_cores", lambda: 4)
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2),
-                                    "parallelism": 4})
-    report = ev.forecast_holdout(table(runner_readings()), config)
-    assert set(report.per_site) == {"a", "b"}
-    assert idents == [threading.get_ident()] * 2
-
-
-class FakeClock:
-    """The runner's `time.perf_counter`: it moves only when a fake fit moves it."""
-
-    def __init__(self):
-        self.now, self.lock = 0.0, threading.Lock()
-
-    def perf_counter(self):
-        return self.now
-
-    def advance(self, seconds):
-        with self.lock:
-            self.now += seconds
-
-
-@pytest.mark.parametrize(
-    "round_cost, threads",
-    [(0.5, 2), (1.0, 1), (2.0, 1)],
-    ids=["round-faster", "round-level", "round-slower"],
-)
-def test_fold_runner_keeps_the_faster_way(monkeypatch, round_cost, threads):
-    # on two fold threads, s0 and s1 make the timed round and s2 runs alone
-    # after it for one clock second; s3-s5 run the way the round chose
-    clock = FakeClock()
-    monkeypatch.setattr(ev, "time", SimpleNamespace(perf_counter=clock.perf_counter))
-    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
-    rest = ["s3", "s4", "s5"]
-    submitted, s3_awaited = [], threading.Event()
-
-    class WatchedPool(ev.ThreadPoolExecutor):
-        """Notes each fold it is handed, and when its caller first waits for s3."""
-
-        def submit(self, fn, fold):
-            future = super().submit(fn, fold)
-            submitted.append(fold[0])
-            if fold[0] == "s3":
-                result = future.result
-                future.result = lambda *a: s3_awaited.set() or result(*a)
-            return future
-
-    monkeypatch.setattr(ev, "ThreadPoolExecutor", WatchedPool)
-    held_with_s3 = []
-    # s3 and s4 meet only if they run at once; the timeout only ends a failing run
-    meet = threading.Barrier(2, timeout=30)
-
-    def fake_fit(train, test, config, seed):
-        site = test.site[0]
-        if site == "s3":
-            # once the runner waits for s3, it has handed the pool every rest
-            # fold it means to run alongside s3
-            s3_awaited.wait(timeout=30)
-            held_with_s3.extend(s for s in submitted if s in rest)
-        if threads == 2 and site in ("s3", "s4"):
-            meet.wait()
-        clock.advance(round_cost if site in ("s0", "s1") else 1.0)
-        return known_means(train, test, config, seed)
-
-    monkeypatch.setattr(ev, "_fit_and_predict", fake_fit)
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4})
-    report = ev.nowcast_loo(table(wavy_sites(n_sites=6)), config)
-    sites = [f"s{i}" for i in range(6)]
-    assert report.fold_threads == threads
-    assert held_with_s3 == (rest if threads == 2 else ["s3"])
-    assert list(report.fold_seconds) == sites and list(report.per_site) == sites
-    assert report.fold_seconds["s2"] == 1.0           # the lone fold's own clock time
-
-
-def test_fold_threads_reaches_reports_json(monkeypatch):
-    monkeypatch.setattr(ev, "_fit_and_predict", known_means)
-    report = ev.forecast_holdout(table(runner_readings()),
-                                 ev.ExperimentConfig(**{**MEAN_PREDICTOR, "parallelism": 4}))
-    assert report.fold_threads == 1
-    assert ev.report_json([report])[0]["fold_threads"] == 1
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2)})
+    run = ev.nowcast_loo if protocol == "nowcast" else ev.forecast_holdout
+    run(table(runner_readings()), config)
+    # every fold in listed order, each seed in turn: one per site, or one for all
+    folds = [["a"], ["b"], ["c"]] if protocol == "nowcast" else [["a", "b"]]
+    assert calls == [(threading.get_ident(), fold, seed) for fold in folds for seed in (1, 2)]
 
 
 # ---------------------------------------------------------------------------
