@@ -308,11 +308,13 @@ def by_hand(values, seed):
     return math.sqrt(sum((seed / 10.0 * v) ** 2 for v in values) / len(values))
 
 
+@pytest.mark.parametrize("repetitions", [1, 2])
 @pytest.mark.parametrize("protocol", ["nowcast", "forecast"])
-def test_fold_runner_scores_known_means(monkeypatch, protocol):
+def test_fold_runner_scores_known_means(monkeypatch, protocol, repetitions):
     monkeypatch.setattr(ev, "_fit_and_predict", known_means)
     rows = runner_readings()
-    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": 2, "seeds": (1, 2)})
+    seeds = tuple(range(1, repetitions + 1))
+    config = ev.ExperimentConfig(**{**MEAN_PREDICTOR, "repetitions": repetitions, "seeds": seeds})
     run = ev.nowcast_loo if protocol == "nowcast" else ev.forecast_holdout
     report = run(table(rows), config)
 
@@ -320,12 +322,12 @@ def test_fold_runner_scores_known_means(monkeypatch, protocol):
     tested = [r for r in rows if protocol == "nowcast" or r[3] >= 48]
     scored = sorted({r[0] for r in tested})
     values = {site: [r[4] for r in tested if r[0] == site] for site in scored}
-    expected = {site: [by_hand(values[site], seed) for seed in (1, 2)] for site in scored}
+    expected = {site: [by_hand(values[site], seed) for seed in seeds] for site in scored}
     assert list(report.per_repetition) == scored
     for site in scored:
         assert report.per_repetition[site] == pytest.approx(expected[site], rel=1e-12)
         assert report.per_site[site] == pytest.approx(np.mean(expected[site]), rel=1e-12)
-    pooled = np.mean([by_hand([r[4] for r in tested], seed) for seed in (1, 2)])
+    pooled = np.mean([by_hand([r[4] for r in tested], seed) for seed in seeds])
     assert report.pooled_rmse == pytest.approx(pooled, rel=1e-12)
     assert report.min_rmse == min(report.per_site.values())
     assert report.max_rmse == max(report.per_site.values())
