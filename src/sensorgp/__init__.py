@@ -31,7 +31,6 @@ from .evaluation import (
     default_matrix,
     forecast_holdout,
     nowcast_loo,
-    rmse,
     run_matrix,
 )
 from .exact_gp import GPModel, PosteriorPrediction, subsample
@@ -60,7 +59,7 @@ __all__ = [
     "Sum", "SynthConfig", "build_dataset", "default_matrix", "drop_sparse_sites",
     "forecast_holdout", "from_config", "init_inducing", "join_weather",
     "load_model", "load_sensor_csv", "nowcast_loo", "remove_outliers",
-    "rescale_periods", "rmse", "run_matrix", "save_model", "subsample",
+    "rescale_periods", "run_matrix", "save_model", "subsample",
     "summary_stats", "synth_generate", "temporal_kernel", "to_config",
 ]
 

@@ -82,14 +82,14 @@ def _cleaning(raw):
     and the outlier-fence fields it sets on every row."""
     section = raw.get("cleaning", {})
 
-    def value(key, default, kind, choices=None):
-        return eval_mod.config_value(section.get(key, default), kind, f"cleaning.{key}",
-                                     choices=choices)
+    def value(key, default, kind, **checks):
+        return eval_mod.config_value(section.get(key, default), kind, f"cleaning.{key}", **checks)
 
     fences = {
-        "outlier_factor": value("factor", 1.5, float),
-        "outlier_scope": value("scope", "per-site", str, data_mod.OUTLIER_SCOPES),
-        "outlier_mode": value("mode", "tukey", str, data_mod.OUTLIER_MODES),
+        "outlier_factor": value("factor", 1.5, float,
+                                within=eval_mod.FLOAT_RANGES["outlier_factor"]),
+        "outlier_scope": value("scope", "per-site", str, choices=data_mod.OUTLIER_SCOPES),
+        "outlier_mode": value("mode", "tukey", str, choices=data_mod.OUTLIER_MODES),
     }
     return value("remove_outliers", False, bool), fences
 

@@ -32,15 +32,6 @@ DAILY_HOURS = 24.0
 WEEKLY_HOURS = 168.0
 
 
-def rmse(predictions, truths):
-    """Root mean squared error; both arguments in the same (original) units."""
-    p = np.asarray(predictions, dtype=float).ravel()
-    t = np.asarray(truths, dtype=float).ravel()
-    if p.size == 0 or p.size != t.size:
-        raise InputError(f"need equal non-zero lengths, got {p.size} and {t.size}")
-    return _root_mean_square(p - t)
-
-
 def _root_mean_square(errors):
     return float(np.sqrt(np.mean(errors ** 2)))
 
@@ -48,18 +39,24 @@ def _root_mean_square(errors):
 _KINDS = {int: numbers.Integral, float: numbers.Real}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 _INTEGER_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
+# (test, description) of the float fields a fit or the cleaning cannot take any real for
+FLOAT_RANGES = {"learning_rate": (lambda v: 0.0 < v < np.inf, "a number in (0, inf)"),
+                "outlier_factor": (lambda v: v >= 0.0, "a number in [0, inf]")}
 
 
-def config_value(value, kind, key, low=None, choices=None):
+def config_value(value, kind, key, low=None, choices=None, within=None):
     """`value` if it has the type `kind` its config field declares, is at
-    least `low` (an integer bound) and is one of `choices`, where given;
-    otherwise a ConfigError naming `key`. An int field needs an integer, a
-    float field takes any real number, a bool is never a number, and
+    least `low` (an integer bound), passes `within` (a FLOAT_RANGES entry)
+    and is one of `choices`, where given; otherwise a ConfigError naming
+    `key`. An int field needs an integer, a float field takes any real
+    number unless `within` says less, a bool is never a number, and
     nothing is coerced."""
     what = _INTEGER_BOUNDS[low] if low is not None else _KIND_NAMES.get(kind, kind.__name__)
     typed = isinstance(value, _KINDS.get(kind, kind)) and (
         kind is bool or not isinstance(value, bool)
     )
+    if typed and within is not None and not within[0](value):
+        raise ConfigError(f"{key} must be {within[1]}, got {value!r}")
     if not typed or (low is not None and value < low):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     if choices is not None and value not in choices:
@@ -121,10 +118,11 @@ class ExperimentConfig:
             tags = {"periodic": cfg.periodic, "cleaned": cfg.clean_outliers,
                     "inputs": cfg.additional_inputs}
             cfg.name = "-".join([cfg.backend] + [tag for tag, on in tags.items() if on])
-        for f in fields(cfg):     # the ranges of float fields are checked where they are used
+        for f in fields(cfg):     # other float ranges are checked where they are used
             if f.name != "seeds":
                 config_value(getattr(cfg, f.name), f.type, where + f.name,
-                             low=1 if f.type is int else None, choices=_CHOICES.get(f.name))
+                             low=1 if f.type is int else None, choices=_CHOICES.get(f.name),
+                             within=FLOAT_RANGES.get(f.name))
         if cfg.seeds is None:
             cfg.seeds = tuple(range(1, cfg.repetitions + 1))
         if len(cfg.seeds) != cfg.repetitions:

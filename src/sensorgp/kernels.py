@@ -30,8 +30,9 @@ variance and ``c_p ⟨W, M_p⟩`` otherwise, and a product with a ``Sum`` among
 its children passes K̄ times the other factors (Rasmussen & Williams 2006,
 §4.2.4); every fit takes its kernel gradient from this pass. The same walk
 gives X̄ = ∂ sum(K̄ ∘ K)/∂X for the first input, each leaf adding its columns
-from W by ``(n, m)`` products. ``gram_and_grads`` multiplies the terms out
-into dense tangents for tests. A diagonal is the same tree over paired rows.
+from W by ``(n, m)`` products. No fit calls ``gram_and_grads`` or
+``diag_and_grads``, which multiply a forward tape out into dense tangents.
+A diagonal is the same tree over paired rows.
 
 A ``PreparedInputs`` is also its passes' workspace: each node keeps its
 output array across ``gram_and_vjp()`` calls, so a warm pass allocates no
@@ -241,13 +242,18 @@ def _exponential_reverse(pairs, K, Kbar, inputs, scratch):
     return grads
 
 
-def _exponential_tangents(pairs, K):
-    """The dense dK/dθ_p = K ∘ c_p M_p of the same term, one per parameter."""
-    return [
-        K * c if M is None else K * M * c
-        for leaf, base in pairs
-        for c, M in leaf._factors(base)
-    ]
+def _with_tangents(node, tape):
+    """K and the dense dK/dθ off a node's forward tape, one per parameter:
+    K ∘ c_p M_p at a leaf or a product of leaves, elsewhere each child's
+    tangents times its factor from ``_weights``."""
+    K, rest = tape
+    if isinstance(node, _Leaf) or isinstance(node, Product) and node._fused:
+        pairs = [(node, rest)] if isinstance(node, _Leaf) else zip(node.children, rest)
+        return K, [K * c if M is None else K * M * c for leaf, base in pairs
+                   for c, M in leaf._factors(base)]
+    weights = node._weights([t[0] for t in rest])
+    return K, [_times(g, w) for child, t, w in zip(node.children, rest, weights)
+               for g in _with_tangents(child, t)[1]]
 
 
 class Kernel:
@@ -256,10 +262,10 @@ class Kernel:
     A node implements ``_base(X, X2, paired)``, ``_forward(base, prev=None,
     scratch=None) -> (K, terms)`` (the pair is its tape; ``prev``, the node's
     tape from the last pass over the same base, lends its output array),
-    ``_reverse(tape, Kbar, inputs=None, scratch=None)`` and
-    ``_tangents(tape)``, which return one entry per parameter (given
-    ``inputs = (X, X2, Xbar)``, ``_reverse`` also adds the leaves' X̄ into
-    Xbar), and ``_value``, the tape-free forward pass behind ``gram``.
+    ``_reverse(tape, Kbar, inputs=None, scratch=None)``, which returns one
+    entry per parameter (given ``inputs = (X, X2, Xbar)``, it also adds the
+    leaves' X̄ into Xbar), and ``_value``, the tape-free forward pass behind
+    ``gram``.
     Leaves pick their input columns with ``dims``:
     ``SquaredExponential(dims=[0, 1]) + Periodic(period=24.0, dims=[2])``.
     """
@@ -284,13 +290,14 @@ class Kernel:
         return self._value(X, X, paired=True)
 
     def gram_and_grads(self, X, X2=None):
-        """Gram matrix plus one derivative matrix per log-hyperparameter."""
+        """Gram matrix plus one dense derivative matrix per log-hyperparameter.
+        No fit calls this or diag_and_grads; the benchmark's tracer binds both."""
         X, X2 = _check_pair(X, X2)
-        return self._value_and_tangents(self._base(X, X2, paired=False))
+        return _with_tangents(self, self._forward(self._base(X, X2, paired=False)))
 
     def diag_and_grads(self, X):
         X = _as_matrix(X)
-        return self._value_and_tangents(self._base(X, X, paired=True))
+        return _with_tangents(self, self._forward(self._base(X, X, paired=True)))
 
     def grad_x(self, X, X2, Kbar):
         """X̄ = ∂ sum(K̄ ∘ gram(X, X2))/∂X, the input half of gram_and_vjp's vjp.
@@ -302,10 +309,6 @@ class Kernel:
         # leaves and combinations override this; a custom node that defines
         # only _base and _forward evaluates through it
         return self._forward(self._base(X, X2, paired))[0]
-
-    def _value_and_tangents(self, base):
-        tape = self._forward(base)
-        return tape[0], self._tangents(tape)
 
     # -- flat log-parameter vector ----------------------------------------
 
@@ -383,10 +386,6 @@ class _Leaf(Kernel):
     def _reverse(self, tape, Kbar, inputs=None, scratch=None):
         K, base = tape
         return _exponential_reverse([(self, base)], K, Kbar, inputs, scratch)
-
-    def _tangents(self, tape):
-        K, base = tape
-        return _exponential_tangents([(self, base)], K)
 
 
 class SquaredExponential(_Leaf):
@@ -574,15 +573,6 @@ class _Combination(Kernel):
             for g in child._reverse(t, _times(Kbar, w), inputs, scratch)
         ]
 
-    def _tangents(self, tape):
-        tapes = tape[1]
-        weights = self._weights([t[0] for t in tapes])
-        return [
-            _times(g, w)
-            for child, t, w in zip(self.children, tapes, weights)
-            for g in child._tangents(t)
-        ]
-
     def _get_params(self):
         out = []
         for child in self.children:
@@ -648,12 +638,6 @@ class Product(_Combination):
             return super()._reverse(tape, Kbar, inputs, scratch)
         K, base = tape
         return _exponential_reverse(list(zip(self.children, base)), K, Kbar, inputs, scratch)
-
-    def _tangents(self, tape):
-        if not self._fused:
-            return super()._tangents(tape)
-        K, base = tape
-        return _exponential_tangents(list(zip(self.children, base)), K)
 
     def _weights(self, Ks):
         # the product of the other factors, from prefix and suffix products

@@ -85,8 +85,8 @@ def maximize(value_and_grad, x0, opts, evaluate=None, value=None):
     best_value, iterations, converged, trace); the caller labels
     parameters and packs a FitResult.
     """
-    if opts.learning_rate <= 0.0:
-        raise InputError(f"learning_rate must be positive, got {opts.learning_rate}")
+    if not 0.0 < opts.learning_rate < np.inf:
+        raise InputError(f"learning_rate must be positive and finite, got {opts.learning_rate}")
     if opts.max_iters < 1:
         raise InputError(f"max_iters must be at least 1, got {opts.max_iters}")
     x = np.asarray(x0, dtype=float).copy()

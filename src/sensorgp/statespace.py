@@ -212,7 +212,6 @@ class StateSpaceGP:
             mean = float(observed.mean()) if observed.size else 0.0
         self.mean = float(mean)
         self.dataset = None
-        self._pos = None
 
     @classmethod
     def from_dataset(cls, spatial_kernel, temporal, dataset, noise_variance=0.1, mean=None):

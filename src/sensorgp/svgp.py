@@ -11,10 +11,13 @@ the adjoints of K_ZZ, K_ZX and diag K_XX go through the kernel's reverse
 pass (kernels.py), so no per-parameter derivative matrix is formed; the
 passes over K_ZZ and K_ZX also give the inducing-location gradient.
 
-Minibatches rescale the data-fit sum by n/batch so the stochastic bound
-stays unbiased. `fit` hands minibatch gradients and the full-batch bound
-to optim.maximize, the training loop every backend shares, which keeps
-the iterate with the best full-batch bound.
+`elbo_and_grad` takes a minibatch and rescales its data-fit sum by
+n/batch so the stochastic bound stays unbiased; `elbo` scores the full
+data through the same bound expression. `fit` hands minibatch gradients
+and the full-batch bound to optim.maximize, the training loop every
+backend shares, which keeps the iterate with the best full-batch bound.
+Each score and prediction factors K_ZZ afresh: each follows a parameter
+change, a fit or a model load, so a kept factor would never be reused.
 """
 
 import math
@@ -99,8 +102,6 @@ class SVGPModel:
         self._tril = np.tril_indices(m)
         self._diag_slots = np.flatnonzero(self._tril[0] == self._tril[1])
         self.dataset = None
-        self._cache_key = None
-        self._cache = None
 
     @classmethod
     def from_dataset(cls, kernel, dataset, inducing, noise_variance=0.1, seed=0, mean=None):
@@ -192,7 +193,6 @@ class SVGPModel:
         at += self._c_pack.size
         if include_inducing:
             self.Z = values[at:].reshape(self.Z.shape).copy()
-        self._cache_key = None
 
     def param_names(self, include_inducing=False):
         names = self.kernel.param_names() + ["log_noise_variance", "mean"]
@@ -208,40 +208,39 @@ class SVGPModel:
 
     # -- bound and gradients ------------------------------------------------
 
-    def _chol_zz(self):
-        key = (self.kernel.log_params().tobytes(), self.Z.tobytes())
-        if self._cache_key != key:
-            L, jitter = chol_with_jitter(self.kernel.gram(self.Z))
-            self._cache_key = key
-            self._cache = (L, jitter)
-        return self._cache
+    def _whitened(self, X):
+        """A = L⁻¹K_zx for the rows X, with L the Cholesky factor of K_zz;
+        K_zx is freed once A is formed."""
+        L, _ = chol_with_jitter(self.kernel.gram(self.Z))
+        return tri_solve(L, self.kernel.gram(self.Z, X))
+
+    def _bound(self, A, C, kdiag, y, scale):
+        """The bound from A = L⁻¹K_zx and q(w), with the data-fit sum scaled
+        by `scale`, plus the U = CᵀA, residuals and variances of q(f) that
+        its gradient reads."""
+        U, mu, var = self._marginals(A, C, kdiag)
+        sigma2 = self.noise_variance
+        resid = y - mu
+        fit = scale * np.sum(
+            -0.5 * (LOG_2PI + math.log(sigma2)) - (resid**2 + var) / (2.0 * sigma2)
+        )
+        kl = 0.5 * (
+            np.sum(C * C) + self._m_w @ self._m_w - self.n_inducing
+        ) - np.sum(np.log(np.diag(C)))
+        return float(fit - kl), U, resid, var
 
     def _marginals(self, A, C, kdiag):
-        """(U, mean, variance) of q(f) from A = L⁻¹K_zx, with U = CᵀA for the
-        gradient. Callers solve for A themselves, so that an (m, n) K_zx they
-        do not keep is freed before U is formed."""
+        """(U, mean, variance) of q(f) from A = L⁻¹K_zx, with U = CᵀA."""
         U = C.T @ A
         mu = self.mean + A.T @ self._m_w
         var = kdiag - np.sum(A * A, axis=0) + np.sum(U * U, axis=0)
         return U, mu, var
 
-    def elbo(self, batch=None):
-        """Evidence lower bound; a batch of indices gives the unbiased estimate."""
-        idx = np.arange(self.X.shape[0]) if batch is None else np.asarray(batch)
-        scale = self.X.shape[0] / idx.size
-        Xb, yb = self.X[idx], self.y[idx]
-        L, _ = self._chol_zz()
+    def elbo(self):
+        """Evidence lower bound over the full data."""
+        A = self._whitened(self.X)
         C = self.variational_cov_factor()
-        A = tri_solve(L, self.kernel.gram(self.Z, Xb))
-        _, mu, var = self._marginals(A, C, self.kernel.diag(Xb))
-        sigma2 = self.noise_variance
-        fit = scale * np.sum(
-            -0.5 * (LOG_2PI + math.log(sigma2)) - ((yb - mu) ** 2 + var) / (2.0 * sigma2)
-        )
-        kl = 0.5 * (
-            np.sum(C * C) + self._m_w @ self._m_w - self.n_inducing
-        ) - np.sum(np.log(np.diag(C)))
-        return float(fit - kl)
+        return self._bound(A, C, self.kernel.diag(self.X), self.y, 1.0)[0]
 
     def elbo_and_grad(self, batch=None, include_inducing=False):
         """Bound plus its gradient in the layout of log_params()."""
@@ -256,15 +255,9 @@ class SVGPModel:
         kdiag, diag_vjp = self.kernel.prepare_diag(Xb).gram_and_vjp()
         C = self.variational_cov_factor()
         A = tri_solve(L, Kzx)
-        U, mu, var = self._marginals(A, C, kdiag)
+        value, U, resid, var = self._bound(A, C, kdiag, yb, scale)
         sigma2 = self.noise_variance
-        resid = yb - mu
-        fit = scale * np.sum(
-            -0.5 * (LOG_2PI + math.log(sigma2)) - (resid**2 + var) / (2.0 * sigma2)
-        )
         diag_c = np.diag(C).copy()
-        kl = 0.5 * (np.sum(C * C) + self._m_w @ self._m_w - m) - np.sum(np.log(diag_c))
-        value = float(fit - kl)
 
         # adjoints of the per-point mean and variance
         gmu = scale * resid / sigma2
@@ -348,8 +341,7 @@ class SVGPModel:
         covariance over the full data, B = I + sigma^-2 A A^T and r the
         centered targets.
         """
-        L, _ = self._chol_zz()
-        A = tri_solve(L, self.kernel.gram(self.Z, self.X))
+        A = self._whitened(self.X)
         sigma2 = self.noise_variance
         m = self.n_inducing
         B = np.eye(m) + (A @ A.T) / sigma2
@@ -368,9 +360,7 @@ class SVGPModel:
     def predict(self, Xq):
         """Variational posterior at query rows; same contract as the dense model."""
         Xq = query_matrix(Xq, self.X.shape[1])
-        L, _ = self._chol_zz()
-        C = self.variational_cov_factor()
-        A = tri_solve(L, self.kernel.gram(self.Z, Xq))
-        _, mean, latent = self._marginals(A, C, self.kernel.diag(Xq))
+        A = self._whitened(Xq)
+        _, mean, latent = self._marginals(A, self.variational_cov_factor(), self.kernel.diag(Xq))
         latent = np.maximum(latent, 0.0)
         return PosteriorPrediction(mean, latent, latent + self.noise_variance)

@@ -82,13 +82,17 @@ def dense_grad_x(kernel, X, X2):
     return out
 
 
-def unfused_gram_and_grads(kernel, X, X2=None):
-    """K and the dense dK/dθ of a kernel tree with every product multiplied
-    out child by child by the product rule, each leaf evaluated on its own:
-    the form the library replaces by one exponential per product of leaves.
-    X2 None gives the diagonal."""
+def dense_gram_and_grads(kernel, X, X2=None):
+    """K and the dense dK/dθ of a kernel tree in log_params order, X2 None
+    giving the diagonal: each leaf's K from its own gram or diag and its
+    derivatives in closed form from the raw differences, combined by the
+    sum and product rules with every product multiplied out child by child
+    (the form the library replaces by one exponential per product of
+    leaves). A leaf's log-variance derivative is K; an SE's log-lengthscale
+    one is K ∘ (x_c - x'_c)²/ℓ_c², per column under ARD and summed over its
+    columns for a shared ℓ; a periodic leaf's is K ∘ 4 Σ sin²(π(x - x')/p)/ℓ²."""
     if isinstance(kernel, kernels._Combination):
-        parts = [unfused_gram_and_grads(child, X, X2) for child in kernel.children]
+        parts = [dense_gram_and_grads(child, X, X2) for child in kernel.children]
         grams = [K for K, _ in parts]
         if isinstance(kernel, kernels.Sum):
             return sum(grams), [g for _, grads in parts for g in grads]
@@ -97,7 +101,17 @@ def unfused_gram_and_grads(kernel, X, X2=None):
             others = np.prod([K for j, K in enumerate(grams) if j != i] or [1.0], axis=0)
             tangents += [g * others for g in grads]
         return np.prod(grams, axis=0), tangents
-    return kernel.diag_and_grads(X) if X2 is None else kernel.gram_and_grads(X, X2)
+    columns = list(range(X.shape[1])) if kernel.dims is None else kernel.dims
+    if X2 is None:
+        K, diff = kernel.diag(X), np.zeros((X.shape[0], len(columns)))
+    else:
+        K, diff = kernel.gram(X, X2), X[:, None, columns] - X2[None, :, columns]
+    if isinstance(kernel, kernels.SquaredExponential):
+        scaled = diff**2 / np.atleast_1d(kernel.lengthscale) ** 2
+        per_column = [K * scaled[..., c] for c in range(len(columns))]
+        return K, [K] + (per_column if kernel.ard else [sum(per_column)])
+    sin2 = np.sum(np.sin(np.pi * diff / kernel.period) ** 2, axis=-1)
+    return K, [K, K * 4.0 * sin2 / kernel.lengthscale**2]
 
 
 def unfused_gram(kernel, X, X2):
@@ -176,14 +190,16 @@ def tangent_gradient(model):
     mode: the Kalman recursion also carries dm/dθ and dP/dθ, one row per
     parameter in `log_params` order, as (k + 4, n) and (k + 4, n, n) arrays
     through every predict and update step (Sarkka 2013, ch. 12), with the
-    dense kernel tangents and explicit inverses of the innovation covariance."""
+    closed-form kernel tangents of dense_gram_and_grads and explicit inverses
+    of the innovation covariance."""
     times, values = model.grid.times, model.grid.values
     S = model.grid.coords.shape[0]
     q = model.temporal.state_dim
     n = S * q
     pos = np.arange(S) * q
     sigma2 = model.noise_variance
-    Ks, dKs = model.spatial_kernel.gram_and_grads(model.grid.coords)
+    coords = model.grid.coords
+    Ks, dKs = dense_gram_and_grads(model.spatial_kernel, coords, coords)
     Pinf, dPinf = model.temporal.stationary_cov_and_grads()
     # tangent rows: spatial params, time variance, time lengthscale, noise,
     # mean; the first k + 2 enter through Ks (x) P_inf and Ks (x) Q

@@ -511,6 +511,7 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     ("fit", "experiment", "budget", "ten"),
     ("fit", "experiment", "periodic", "no"),
     ("fit", None, "seed", "3"),
+    ("fit", "experiment", "learning_rate", float("nan")),
 ])
 def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
                                             command, section, key, value):
@@ -546,8 +547,16 @@ def test_malformed_config_numbers_are_named(tmp_path, sensors, capsys,
     ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, backend="statespace", temporal="matern52")]},
      "benchmark.matrix[0].temporal"),
     ("benchmark", {"matrix": []}, "benchmark.matrix must be"),
+    # a fit at such a rate rejects every step, and such a factor drops every reading
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, learning_rate=float("nan"))]},
+     "benchmark.matrix[0].learning_rate must be a number in (0, inf)"),
+    ("benchmark", {"matrix": [dict(MEAN_PREDICTOR, learning_rate=float("inf"))]},
+     "benchmark.matrix[0].learning_rate must be a number in (0, inf)"),
+    ("cleaning", {"factor": -1.0}, "cleaning.factor must be a number in [0, inf]"),
+    ("cleaning", {"factor": float("nan")}, "cleaning.factor must be a number in [0, inf]"),
 ], ids=["row-budget", "row-seeds", "protocol", "scope", "mode", "periodic-flag", "clean-flag",
-        "inputs-flag", "inducing-flag", "remove-flag", "temporal", "empty-matrix"])
+        "inputs-flag", "inducing-flag", "remove-flag", "temporal", "empty-matrix", "nan-rate",
+        "inf-rate", "negative-factor", "nan-factor"])
 def test_benchmark_config_fails_before_loading_data(tmp_path, sensors, capsys,
                                                     section, edit, named):
     # every row and name is checked first: the error names its key, and no

@@ -30,23 +30,6 @@ MEAN_PREDICTOR = dict(
 
 
 # ---------------------------------------------------------------------------
-# rmse
-
-
-def test_rmse_hand_values():
-    assert ev.rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert ev.rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(math.sqrt(12.5), abs=1e-12)
-    assert ev.rmse([2.0], [7.5]) == pytest.approx(5.5, abs=1e-12)
-
-
-def test_rmse_rejects_mismatch():
-    with pytest.raises(InputError):
-        ev.rmse([1.0], [1.0, 2.0])
-    with pytest.raises(InputError):
-        ev.rmse([], [])
-
-
-# ---------------------------------------------------------------------------
 # config resolution
 
 
@@ -86,6 +69,13 @@ def test_config_validation_errors():
         for bad in ("big", None, False):
             with pytest.raises(ConfigError, match=f"{key} must be a number"):
                 ev.ExperimentConfig(**{key: bad}).resolved()
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=r"learning_rate must be a number in \(0, inf\)"):
+            ev.ExperimentConfig(learning_rate=bad).resolved()
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ConfigError, match=r"outlier_factor must be a number in \[0, inf\]"):
+            ev.ExperimentConfig(outlier_factor=bad).resolved()
+    assert ev.ExperimentConfig(outlier_factor=math.inf).resolved().outlier_factor == math.inf
     with pytest.raises(ConfigError, match="seeds must be integers"):
         ev.ExperimentConfig(seeds=("one",)).resolved()
     for key in ("periodic", "clean_outliers", "additional_inputs", "optimize_inducing"):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sensorgp import kernels
 from sensorgp.errors import InputError
 from helpers import (
-    central_diff, dense_grad_x, difference_base, max_rel_err, unfused_gram,
-    unfused_gram_and_grads,
+    central_diff, dense_gram_and_grads, dense_grad_x, difference_base, max_rel_err, unfused_gram,
 )
 
 
@@ -300,8 +299,8 @@ def test_product_gradient_uses_product_rule():
 
 
 def test_gram_and_grads_matrix_is_gram_bit_for_bit():
-    # the exact GP factors the matrix gram_and_grads returns, so its value
-    # must not depend on which of the two calls built it
+    # the exact GP factors the matrix a prepared pass returns, so its value
+    # must not depend on which call built it
     rng = np.random.default_rng(14)
     X = rng.normal(size=(9, 3))
     three = (
@@ -372,13 +371,15 @@ kernel_trees = st.recursive(
 def test_reverse_pass_matches_dense_tangents(kernel, seed, diagonal):
     rng = np.random.default_rng(seed)
     X, X2 = rng.normal(size=(6, WIDTH)), rng.normal(size=(5, WIDTH))
+    # the closed-form oracle shares no code with the pass: its K is each
+    # leaf's own Gram, and its derivatives come from the raw differences
     if diagonal:
-        K, tangents = kernel.diag_and_grads(X)
-        K_rev, vjp = kernel.prepare_diag(X).gram_and_vjp()
+        K, vjp = kernel.prepare_diag(X).gram_and_vjp()
+        assert np.array_equal(K, kernel.diag(X))
     else:
-        K, tangents = kernel.gram_and_grads(X, X2)
-        K_rev, vjp = kernel.prepare(X, X2).gram_and_vjp()
-    assert np.array_equal(K_rev, K)
+        K, vjp = kernel.prepare(X, X2).gram_and_vjp()
+        assert np.array_equal(K, kernel.gram(X, X2))
+    _, tangents = dense_gram_and_grads(kernel, X, None if diagonal else X2)
     Kbar = rng.normal(size=K.shape)
     reduced = vjp(Kbar)
     assert reduced.shape == (kernel.n_params,) == (len(tangents),)
@@ -491,7 +492,7 @@ def test_fused_products_match_the_unfused_oracle(kernel, seed, diagonal):
     # the oracle multiplies every product out child by child
     rng = np.random.default_rng(seed)
     X, X2 = rng.normal(size=(6, WIDTH)), rng.normal(size=(5, WIDTH))
-    K_ref, tangents = unfused_gram_and_grads(kernel, X, None if diagonal else X2)
+    K_ref, tangents = dense_gram_and_grads(kernel, X, None if diagonal else X2)
     prepared = kernel.prepare_diag(X) if diagonal else kernel.prepare(X, X2)
     K, vjp = prepared.gram_and_vjp()
     assert np.all(np.abs(K - K_ref) <= 1e-13 * np.abs(K_ref) + np.finfo(float).tiny)

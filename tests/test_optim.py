@@ -97,6 +97,10 @@ def test_adam_state_step_direction():
 def test_options_validation():
     with pytest.raises(InputError):
         optim.maximize(quadratic([0.0]), np.zeros(1), optim.OptimizerOptions(learning_rate=-1.0))
+    for rate in (math.nan, math.inf):
+        opts = optim.OptimizerOptions(learning_rate=rate)
+        with pytest.raises(InputError, match="learning_rate must be positive and finite"):
+            optim.maximize(quadratic([0.0]), np.zeros(1), opts)
     with pytest.raises(InputError):
         optim.maximize(quadratic([0.0]), np.zeros(1), optim.OptimizerOptions(max_iters=0))
 
